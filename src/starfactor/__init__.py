@@ -34,6 +34,7 @@ from .solver import (
     OracleResult,
     OracleVerdict,
     Refutation,
+    Verdict,
     Weighting,
     Witness,
     decide_uniform_weighting,
@@ -45,7 +46,6 @@ from .classifier import (
     CaseTag,
     Classification,
     Route,
-    Verdict,
     classify,
     classify_connected_girth5,
     construct_weighting,

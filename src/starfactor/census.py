@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from . import __version__
-from .classifier import Verdict, classify
+from .classifier import classify
 from .factors import (
     DEFAULT_CAP,
     CapExceeded,
@@ -26,8 +26,8 @@ from .factors import (
     enumerate_star_factors,
     incidence_vectors,
 )
-from .graph import Graph, connected_components, girth, parse_graph6, to_graph6
-from .solver import Witness, decide_uniform_weighting
+from .graph import Girth, Graph, girth, parse_graph6, to_graph6
+from .solver import Verdict, Witness, decide_uniform_weighting
 
 MAX_BUILTIN_N = 7
 
@@ -160,8 +160,7 @@ def canonical_form(g: Graph) -> bytes:
     return best if best is not None else b""
 
 
-def _girth_class(g: Graph) -> str:
-    gg = girth(g)
+def _girth_class(gg: Girth) -> str:
     if gg.is_infinite:
         return "inf"
     if gg.value >= 8:
@@ -172,8 +171,8 @@ def _girth_class(g: Graph) -> str:
 @dataclass(frozen=True)
 class _Record:
     n: int
+    girth: Girth
     girth_class: str
-    graph6: str
     omega_member: bool
     u_member: bool
     cap_exceeded: bool
@@ -182,41 +181,34 @@ class _Record:
 
 def evaluate_graph(g: Graph, cap: int = DEFAULT_CAP) -> _Record:
     """Oracle (and, for girth >= 5, classifier) run on a single graph."""
-    gclass = _girth_class(g)
-    girth5 = gclass in ("5", "6", "7", ">=8", "inf")
-    omega_member = False
+    gg = girth(g)
     u_member = False
-    cap_hit = False
-    oracle_verdict = "Vacuous"
+    verdict = Verdict.VACUOUS
     try:
         factors = enumerate_star_factors(g, cap=cap)
-        spectrum = edge_count_spectrum(factors)
-        u_member = len(spectrum) == 1
+        u_member = len(edge_count_spectrum(factors)) == 1
         outcome = decide_uniform_weighting(incidence_vectors(factors, g.m))
-        omega_member = isinstance(outcome, Witness)
-        oracle_verdict = "Member" if omega_member else "NotMember"
+        verdict = Verdict.MEMBER if isinstance(outcome, Witness) else Verdict.NOT_MEMBER
     except VacuousGraph:
         pass
     except CapExceeded:
-        cap_hit = True
-        oracle_verdict = "CapExceeded"
+        verdict = Verdict.CAP_EXCEEDED
     disagreement = None
-    if girth5 and not cap_hit and oracle_verdict != "Vacuous":
+    if gg >= 5 and verdict in (Verdict.MEMBER, Verdict.NOT_MEMBER):
         cls = classify(g, cap=cap)
-        cls_verdict = cls.verdict.value
-        if (cls.verdict is Verdict.MEMBER) != omega_member:
+        if (cls.verdict is Verdict.MEMBER) != (verdict is Verdict.MEMBER):
             disagreement = Disagreement(
                 graph6=to_graph6(g),
-                oracle_verdict=oracle_verdict,
-                classifier_verdict=cls_verdict,
+                oracle_verdict=verdict.value,
+                classifier_verdict=cls.verdict.value,
             )
     return _Record(
         n=g.n,
-        girth_class=gclass,
-        graph6=to_graph6(g),
-        omega_member=omega_member,
+        girth=gg,
+        girth_class=_girth_class(gg),
+        omega_member=verdict is Verdict.MEMBER,
         u_member=u_member,
-        cap_exceeded=cap_hit,
+        cap_exceeded=verdict is Verdict.CAP_EXCEEDED,
         disagreement=disagreement,
     )
 
@@ -285,13 +277,8 @@ def _accumulate(records: Iterable[_Record], girth_min: int | None) -> CensusResu
     table: dict[tuple[int, str], CensusRow] = {}
     disagreements: list[Disagreement] = []
     for rec in records:
-        if girth_min is not None:
-            if rec.girth_class == "inf":
-                pass
-            elif rec.girth_class == ">=8":
-                pass
-            elif int(rec.girth_class) < girth_min:
-                continue
+        if girth_min is not None and rec.girth < girth_min:
+            continue
         key = (rec.n, rec.girth_class)
         row = table.get(key)
         if row is None:

@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .factors import DEFAULT_CAP
+from .factors import DEFAULT_CAP, CapExceeded
 from .graph import (
     Girth,
     Graph,
@@ -25,21 +25,15 @@ from .graph import (
     connected_components,
     girth,
     induced_delete,
-    induced_subgraph,
 )
 from .solver import (
-    OracleResult,
-    OracleVerdict,
     Refutation,
+    Verdict,
     Weighting,
+    certificate_json,
     omega_oracle,
+    witness_json,
 )
-
-
-class Verdict(enum.Enum):
-    MEMBER = "Member"
-    NOT_MEMBER = "NotMember"
-    VACUOUS = "Vacuous"
 
 
 class Route(enum.Enum):
@@ -102,9 +96,6 @@ class ComponentReport:
     route: Route
     tag: CaseTag | None
     core_kinds: tuple[CoreComponentKind, ...] = ()
-    oracle: OracleResult | None = None
-    # original edge index for each component-local edge index
-    edge_map: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -125,37 +116,34 @@ def remove_leaves_and_stems(g: Graph) -> tuple[Graph, dict[int, int]]:
     return core, {new: old for old, new in old_to_new.items()}
 
 
-def _is_cycle(g: Graph) -> bool:
-    return g.n >= 3 and all(g.degree(v) == 2 for v in range(g.n)) and len(
-        connected_components(g)
-    ) == 1
+def _core_components(g: Graph) -> list[frozenset[int]]:
+    """Components of g minus its leaves and stems, in original vertex ids."""
+    core, core_to_orig = remove_leaves_and_stems(g)
+    return [
+        frozenset(core_to_orig[v] for v in comp) for comp in connected_components(core)
+    ]
 
 
-def _core_component_kind(
-    core: Graph, comp: frozenset[int], g: Graph, core_to_orig: dict[int, int]
-) -> CoreComponentKind:
+def _core_component_kind(g: Graph, comp: frozenset[int]) -> CoreComponentKind:
     verts = tuple(sorted(comp))
-    orig = tuple(core_to_orig[v] for v in verts)
     if len(verts) == 1:
-        return IsolatedVertexCore(vertex=orig[0])
-    degs = {v: sum(1 for u in core.adjacency[v] if u in comp) for v in verts}
-    ecount = sum(degs.values()) // 2
-    if ecount == len(verts) - 1:
-        centers = [v for v in verts if degs[v] == len(verts) - 1]
-        if centers:
-            center = centers[0] if len(verts) > 2 else min(verts)
-            leaves_ok = all(degs[v] == 1 for v in verts if v != center)
-            if leaves_ok:
-                c_orig = core_to_orig[center]
-                return StarCore(
-                    center=c_orig,
-                    leaves=tuple(core_to_orig[v] for v in verts if v != center),
-                    center_degree=g.degree(c_orig),
-                )
+        return IsolatedVertexCore(vertex=verts[0])
+    # comp is a component of an induced subgraph, so a vertex's core
+    # degree counts its neighbors in comp
+    degs = {v: sum(1 for u in g.adjacency[v] if u in comp) for v in verts}
+    if sum(degs.values()) == 2 * (len(verts) - 1):
+        # a tree with a vertex adjacent to all the others is a star
+        center = next((v for v in verts if degs[v] == len(verts) - 1), None)
+        if center is not None:
+            return StarCore(
+                center=center,
+                leaves=tuple(v for v in verts if v != center),
+                center_degree=g.degree(center),
+            )
     if len(verts) == 5 and all(degs[v] == 2 for v in verts):
-        high = tuple(v for v in orig if g.degree(v) >= 3)
-        return FiveCycleCore(vertices=orig, high_degree=high)
-    return OtherCore(vertices=orig, reason="neither a star, a 5-cycle, nor a vertex")
+        high = tuple(v for v in verts if g.degree(v) >= 3)
+        return FiveCycleCore(vertices=verts, high_degree=high)
+    return OtherCore(vertices=verts, reason="neither a star, a 5-cycle, nor a vertex")
 
 
 def _core_kind_ok(kind: CoreComponentKind, g: Graph) -> bool:
@@ -186,6 +174,79 @@ def construct_weighting(g: Graph, core_k11_pairs: list[tuple[int, int]]) -> Weig
     return Weighting(tuple(weights))
 
 
+def _structural_report(
+    g: Graph,
+    verts: tuple[int, ...],
+    vc: VertexClass,
+    cores: list[frozenset[int]],
+) -> tuple[ComponentReport, list[tuple[int, int]]]:
+    """Decide one connected component of g of girth >= 5.
+
+    ``vc`` holds the leaves and stems of g and ``cores`` the components of
+    its core that lie in ``verts``; all of them are local to the component,
+    because a vertex has the same degree in g as in its component.
+    Returns the report and the K_{1,1} core pairs whose edges weigh 2.
+    """
+
+    def report(verdict: Verdict, tag: CaseTag, kinds=()) -> ComponentReport:
+        return ComponentReport(
+            vertices=verts,
+            verdict=verdict,
+            route=Route.STRUCTURAL_GIRTH5,
+            tag=tag,
+            core_kinds=tuple(kinds),
+        )
+
+    if not any(v in vc.leaves for v in verts):
+        # minimum degree >= 2: members are exactly the 5-cycle and 7-cycle
+        if len(verts) in (5, 7) and all(g.degree(v) == 2 for v in verts):
+            return report(Verdict.MEMBER, CaseTag.C5 if len(verts) == 5 else CaseTag.C7), []
+        return report(Verdict.NOT_MEMBER, CaseTag.NEG_DELTA2_GIRTH), []
+
+    if all(v in vc.leaves or v in vc.stems for v in verts):
+        return report(Verdict.MEMBER, CaseTag.ALL_LEAF_OR_STEM), []
+
+    kinds = [_core_component_kind(g, comp) for comp in cores]
+    if not all(_core_kind_ok(k, g) for k in kinds):
+        return report(Verdict.NOT_MEMBER, CaseTag.NEG_CORE_SHAPE, kinds), []
+    tags = set()
+    k11_pairs: list[tuple[int, int]] = []
+    for kind in kinds:
+        if isinstance(kind, FiveCycleCore):
+            tags.add(CaseTag.CASE_4A)
+        elif isinstance(kind, StarCore):
+            tags.add(CaseTag.CASE_4B)
+            if kind.m == 1:
+                k11_pairs.append((kind.center, kind.leaves[0]))
+        else:
+            tags.add(CaseTag.CASE_4C)
+    tag = tags.pop() if len(tags) == 1 else CaseTag.MIXED_4
+    return report(Verdict.MEMBER, tag, kinds), k11_pairs
+
+
+def _combine(
+    reports: list[ComponentReport],
+    gg: Girth,
+    witness: Weighting,
+    refutation: Refutation | None,
+) -> Classification:
+    """The graph is a member iff every component is; a non-member takes
+    the tag of its first failing component."""
+    route = (
+        Route.ORACLE_FALLBACK
+        if any(r.route is Route.ORACLE_FALLBACK for r in reports)
+        else Route.STRUCTURAL_GIRTH5
+    )
+    failing = [r for r in reports if r.verdict is Verdict.NOT_MEMBER]
+    if failing:
+        return Classification(
+            Verdict.NOT_MEMBER, route, failing[0].tag, gg, None, refutation, tuple(reports)
+        )
+    tags = {r.tag for r in reports}
+    case_tag = tags.pop() if len(tags) == 1 else CaseTag.MIXED_4 if tags else None
+    return Classification(Verdict.MEMBER, route, case_tag, gg, witness, None, tuple(reports))
+
+
 def classify_connected_girth5(g: Graph) -> Classification:
     """Structural decision for one connected graph of girth >= 5.
 
@@ -200,79 +261,10 @@ def classify_connected_girth5(g: Graph) -> Classification:
         raise ValueError("graph has an isolated vertex")
     if len(connected_components(g)) != 1:
         raise ValueError("graph is not connected")
-
-    comp_verts = tuple(range(g.n))
-    edge_map = tuple(range(g.m))
-
-    def member(tag: CaseTag, witness: Weighting, kinds=()) -> Classification:
-        report = ComponentReport(
-            vertices=comp_verts,
-            verdict=Verdict.MEMBER,
-            route=Route.STRUCTURAL_GIRTH5,
-            tag=tag,
-            core_kinds=tuple(kinds),
-            edge_map=edge_map,
-        )
-        return Classification(
-            verdict=Verdict.MEMBER,
-            route=Route.STRUCTURAL_GIRTH5,
-            case_tag=tag,
-            girth=gg,
-            witness=witness,
-            refutation=None,
-            per_component=(report,),
-        )
-
-    def non_member(tag: CaseTag, kinds=()) -> Classification:
-        report = ComponentReport(
-            vertices=comp_verts,
-            verdict=Verdict.NOT_MEMBER,
-            route=Route.STRUCTURAL_GIRTH5,
-            tag=tag,
-            core_kinds=tuple(kinds),
-            edge_map=edge_map,
-        )
-        return Classification(
-            verdict=Verdict.NOT_MEMBER,
-            route=Route.STRUCTURAL_GIRTH5,
-            case_tag=tag,
-            girth=gg,
-            witness=None,
-            refutation=None,
-            per_component=(report,),
-        )
-
-    vc = classify_vertices(g)
-    if not vc.leaves:
-        # minimum degree >= 2: members are exactly the 5-cycle and 7-cycle
-        if _is_cycle(g) and g.n in (5, 7):
-            tag = CaseTag.C5 if g.n == 5 else CaseTag.C7
-            return member(tag, Weighting.constant(g.m))
-        return non_member(CaseTag.NEG_DELTA2_GIRTH)
-
-    if vc.leaves | vc.stems == frozenset(range(g.n)):
-        return member(CaseTag.ALL_LEAF_OR_STEM, construct_weighting(g, []))
-
-    core, core_to_orig = remove_leaves_and_stems(g)
-    kinds = [
-        _core_component_kind(core, comp, g, core_to_orig)
-        for comp in connected_components(core)
-    ]
-    if not all(_core_kind_ok(k, g) for k in kinds):
-        return non_member(CaseTag.NEG_CORE_SHAPE, kinds)
-    tags = set()
-    k11_pairs: list[tuple[int, int]] = []
-    for kind in kinds:
-        if isinstance(kind, FiveCycleCore):
-            tags.add(CaseTag.CASE_4A)
-        elif isinstance(kind, StarCore):
-            tags.add(CaseTag.CASE_4B)
-            if kind.m == 1:
-                k11_pairs.append((kind.center, kind.leaves[0]))
-        else:
-            tags.add(CaseTag.CASE_4C)
-    tag = tags.pop() if len(tags) == 1 else CaseTag.MIXED_4
-    return member(tag, construct_weighting(g, k11_pairs), kinds)
+    report, k11_pairs = _structural_report(
+        g, tuple(range(g.n)), classify_vertices(g), _core_components(g)
+    )
+    return _combine([report], gg, construct_weighting(g, k11_pairs), None)
 
 
 def classify(g: Graph, cap: int = DEFAULT_CAP) -> Classification:
@@ -292,88 +284,59 @@ def classify(g: Graph, cap: int = DEFAULT_CAP) -> Classification:
             witness=None,
             refutation=None,
         )
+    comps = connected_components(g)
+    comp_of = [0] * g.n
+    for c, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = c
+    comp_edges: list[list[int]] = [[] for _ in comps]
+    for i, (u, _) in enumerate(g.edges):
+        comp_edges[comp_of[u]].append(i)
+    comp_cores: list[list[frozenset[int]]] = [[] for _ in comps]
+    for core in _core_components(g):
+        comp_cores[comp_of[min(core)]].append(core)
+    vc = classify_vertices(g)
+
     reports: list[ComponentReport] = []
-    weights: list[Fraction | None] = [None] * g.m
+    k11_pairs: list[tuple[int, int]] = []
+    fallback_weights: dict[int, Fraction] = {}
     refutation: Refutation | None = None
-    overall = Verdict.MEMBER
-    for comp in connected_components(g):
+    finite_girths: list[int] = []
+    for comp, edges, cores in zip(comps, comp_edges, comp_cores):
         verts = tuple(sorted(comp))
-        sub, old_to_new = induced_subgraph(g, verts)
-        edge_map = tuple(
-            i for i, (u, v) in enumerate(g.edges) if u in comp and v in comp
+        # renumbering in vertex order keeps the edges sorted, so the
+        # subgraph's edge j is the graph's edge edges[j]
+        local = {v: j for j, v in enumerate(verts)}
+        sub = Graph(
+            len(verts), tuple((local[g.edges[i][0]], local[g.edges[i][1]]) for i in edges)
         )
-        if girth(sub) >= 5:
-            cls = classify_connected_girth5(sub)
-            report = ComponentReport(
-                vertices=verts,
-                verdict=cls.verdict,
-                route=Route.STRUCTURAL_GIRTH5,
-                tag=cls.case_tag,
-                core_kinds=_relabel_kinds(cls.per_component[0].core_kinds, verts),
-                edge_map=edge_map,
-            )
-            if cls.verdict is Verdict.MEMBER and cls.witness is not None:
-                for local, w in enumerate(cls.witness.weights):
-                    weights[edge_map[local]] = w
+        gg = girth(sub)
+        if not gg.is_infinite:
+            finite_girths.append(gg.value)
+        if gg >= 5:
+            report, pairs = _structural_report(g, verts, vc, cores)
+            k11_pairs.extend(pairs)
         else:
             result = omega_oracle(sub, cap=cap)
-            if result.verdict is OracleVerdict.CAP_EXCEEDED:
-                from .factors import CapExceeded
-
+            if result.verdict is Verdict.CAP_EXCEEDED:
                 raise CapExceeded(cap)
-            verdict = (
-                Verdict.MEMBER
-                if result.verdict is OracleVerdict.MEMBER
-                else Verdict.NOT_MEMBER
-            )
             report = ComponentReport(
                 vertices=verts,
-                verdict=verdict,
+                verdict=result.verdict,
                 route=Route.ORACLE_FALLBACK,
-                tag=CaseTag.REFUTED if verdict is Verdict.NOT_MEMBER else None,
-                oracle=result,
-                edge_map=edge_map,
+                tag=CaseTag.REFUTED if result.verdict is Verdict.NOT_MEMBER else None,
             )
-            if verdict is Verdict.MEMBER and result.witness is not None:
-                for local, w in enumerate(result.witness.weighting.weights):
-                    weights[edge_map[local]] = w
-            elif result.refutation is not None and refutation is None:
+            if result.witness is not None:
+                fallback_weights.update(zip(edges, result.witness.weighting.weights))
+            elif refutation is None:
                 refutation = result.refutation
         reports.append(report)
-        if report.verdict is Verdict.NOT_MEMBER:
-            overall = Verdict.NOT_MEMBER
-    route = (
-        Route.ORACLE_FALLBACK
-        if any(r.route is Route.ORACLE_FALLBACK for r in reports)
-        else Route.STRUCTURAL_GIRTH5
+    structural = construct_weighting(g, k11_pairs).weights
+    witness = Weighting(
+        tuple(fallback_weights.get(i, w) for i, w in enumerate(structural))
     )
-    if overall is Verdict.MEMBER:
-        witness = Weighting(tuple(w if w is not None else Fraction(1) for w in weights))
-        failing_tag = None
-    else:
-        witness = None
-        failing_tag = next(
-            r.tag for r in reports if r.verdict is Verdict.NOT_MEMBER
-        )
-    member_tags = {r.tag for r in reports if r.verdict is Verdict.MEMBER}
-    if overall is Verdict.MEMBER:
-        if len(member_tags) == 1:
-            case_tag = member_tags.pop()
-        elif not member_tags:
-            case_tag = None
-        else:
-            case_tag = CaseTag.MIXED_4
-    else:
-        case_tag = failing_tag
-    return Classification(
-        verdict=overall,
-        route=route,
-        case_tag=case_tag,
-        girth=girth(g),
-        witness=witness,
-        refutation=refutation,
-        per_component=tuple(reports),
-    )
+    overall_girth = Girth.finite(min(finite_girths)) if finite_girths else Girth.infinite()
+    return _combine(reports, overall_girth, witness, refutation)
 
 
 def _kind_str(kind: CoreComponentKind) -> str:
@@ -384,10 +347,6 @@ def _kind_str(kind: CoreComponentKind) -> str:
     if isinstance(kind, IsolatedVertexCore):
         return "IsolatedVertex"
     return f"Other({kind.reason})"
-
-
-def _fraction_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def classification_to_json(g: Graph, cls: Classification) -> dict:
@@ -407,66 +366,19 @@ def classification_to_json(g: Graph, cls: Classification) -> dict:
                 "tag": report.tag.value if report.tag else None,
             }
         )
-    witness = None
-    if cls.witness is not None:
-        integral = cls.witness.integral
-        witness = [
-            {"u": u, "v": v, "weight": integral[i]}
-            for i, (u, v) in enumerate(g.edges)
-        ]
     refutation = None
     if cls.refutation is not None:
-        nonzero = [
-            (i, c) for i, c in enumerate(cls.refutation.coeffs) if c != 0
-        ]
-        refutation = {
-            "certificate": {
-                "coeffs": [[i, _fraction_str(c)] for i, c in nonzero],
-                "forcedZero": [_fraction_str(x) for x in cls.refutation.forced_zero],
-            }
-        }
-        if len(nonzero) == 1:
+        certificate = certificate_json(cls.refutation)
+        refutation = {"certificate": certificate}
+        if len(certificate["coeffs"]) == 1:
             # a single row means one factor's edges strictly contain another's
-            refutation["factorPair"] = [0, nonzero[0][0] + 1]
+            refutation["factorPair"] = [0, certificate["coeffs"][0][0] + 1]
     return {
         "verdict": cls.verdict.value,
         "route": cls.route.value,
         "caseTag": cls.case_tag.value if cls.case_tag else None,
         "girth": None if cls.girth.is_infinite else cls.girth.value,
         "components": components,
-        "witness": witness,
+        "witness": None if cls.witness is None else witness_json(g, cls.witness),
         "refutation": refutation,
     }
-
-
-def _relabel_kinds(
-    kinds: tuple[CoreComponentKind, ...], verts: tuple[int, ...]
-) -> tuple[CoreComponentKind, ...]:
-    """Map component-local vertex ids in core kinds back to original ids."""
-    out: list[CoreComponentKind] = []
-    for kind in kinds:
-        if isinstance(kind, FiveCycleCore):
-            out.append(
-                FiveCycleCore(
-                    vertices=tuple(verts[v] for v in kind.vertices),
-                    high_degree=tuple(verts[v] for v in kind.high_degree),
-                )
-            )
-        elif isinstance(kind, StarCore):
-            out.append(
-                StarCore(
-                    center=verts[kind.center],
-                    leaves=tuple(verts[v] for v in kind.leaves),
-                    center_degree=kind.center_degree,
-                )
-            )
-        elif isinstance(kind, IsolatedVertexCore):
-            out.append(IsolatedVertexCore(vertex=verts[kind.vertex]))
-        else:
-            out.append(
-                OtherCore(
-                    vertices=tuple(verts[v] for v in kind.vertices),
-                    reason=kind.reason,
-                )
-            )
-    return tuple(out)

@@ -14,7 +14,7 @@ from typing import Sequence, TextIO
 
 from . import __version__
 from .census import MAX_BUILTIN_N, cross_validate, report
-from .classifier import Verdict, classification_to_json, classify
+from .classifier import classification_to_json, classify
 from .factors import (
     DEFAULT_CAP,
     CapExceeded,
@@ -23,13 +23,20 @@ from .factors import (
     enumerate_star_factors,
 )
 from .graph import Graph, GraphError, girth, parse_edge_list, parse_graph6
-from .solver import OracleVerdict, omega_oracle
+from .solver import Verdict, Weighting, certificate_json, omega_oracle, witness_json
 
 EXIT_MEMBER = 0
 EXIT_USAGE = 1
 EXIT_NOT_MEMBER = 2
 EXIT_VACUOUS = 3
 EXIT_CAP = 4
+
+_VERDICT_EXIT = {
+    Verdict.MEMBER: EXIT_MEMBER,
+    Verdict.NOT_MEMBER: EXIT_NOT_MEMBER,
+    Verdict.VACUOUS: EXIT_VACUOUS,
+    Verdict.CAP_EXCEEDED: EXIT_CAP,
+}
 
 
 class CliError(Exception):
@@ -49,18 +56,21 @@ def _default_cap() -> int:
     return DEFAULT_CAP
 
 
-def _read_input(path: str, stdin: TextIO) -> str:
-    if path == "-":
-        return stdin.read()
+def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="ascii") as fh:
             return fh.read()
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise CliError(
+            f"cannot read {path}: non-ASCII byte 0x{byte:02x} at offset {exc.start}"
+        ) from exc
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_graph(path: str, fmt: str | None, stdin: TextIO) -> Graph:
-    text = _read_input(path, stdin)
+    text = stdin.read() if path == "-" else _read_file(path)
     if fmt is None:
         fmt = "graph6" if path.endswith((".g6", ".graph6")) else "edgelist"
     if fmt == "graph6":
@@ -69,15 +79,16 @@ def _load_graph(path: str, fmt: str | None, stdin: TextIO) -> Graph:
 
 
 def _parse_range(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        ns = list(range(int(lo), int(hi) + 1))
-    else:
-        ns = [int(spec)]
-    for n in ns:
-        if not (1 <= n <= MAX_BUILTIN_N):
-            raise CliError(f"built-in census supports n in 1..{MAX_BUILTIN_N}, got {n}")
-    return ns
+    lo, sep, hi = spec.partition("..")
+    try:
+        first, last = int(lo), int(hi if sep else lo)
+    except ValueError as exc:
+        raise CliError(f"census range {spec!r} is not N or MIN..MAX") from exc
+    if first > last:
+        raise CliError(f"census range {spec!r} is empty: MIN exceeds MAX")
+    if first < 1 or last > MAX_BUILTIN_N:
+        raise CliError(f"built-in census supports n in 1..{MAX_BUILTIN_N}, got {spec}")
+    return list(range(first, last + 1))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,15 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _verdict_exit(verdict: str) -> int:
-    return {
-        "Member": EXIT_MEMBER,
-        "NotMember": EXIT_NOT_MEMBER,
-        "Vacuous": EXIT_VACUOUS,
-        "CapExceeded": EXIT_CAP,
-    }[verdict]
-
-
 def run(
     argv: Sequence[str],
     stdout: TextIO | None = None,
@@ -136,7 +138,7 @@ def run(
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        cap = args.cap if getattr(args, "cap", None) else _default_cap()
+        cap = args.cap if args.cap is not None else _default_cap()
         if cap < 1:
             raise CliError("cap must be >= 1")
         if args.command == "census":
@@ -191,34 +193,27 @@ def _run_factors(g: Graph, cap: int, output: str, out: TextIO) -> int:
     return EXIT_MEMBER
 
 
+def _print_witness(g: Graph, weighting: Weighting, out: TextIO) -> None:
+    detail = " ".join(f"{u}-{v}:{w}" for (u, v), w in zip(g.edges, weighting.integral))
+    print(f"  witness: {detail}", file=out)
+
+
 def _run_oracle(g: Graph, cap: int, output: str, out: TextIO) -> int:
     result = omega_oracle(g, cap=cap)
-    verdict = result.verdict.value
+    weighting = result.witness.weighting if result.witness is not None else None
     if output == "json":
-        payload: dict = {"verdict": verdict, "factorCount": result.factor_count}
-        if result.witness is not None:
-            integral = result.witness.weighting.integral
-            payload["witness"] = [
-                {"u": u, "v": v, "weight": integral[i]} for i, (u, v) in enumerate(g.edges)
-            ]
+        payload: dict = {"verdict": result.verdict.value, "factorCount": result.factor_count}
+        if weighting is not None:
+            payload["witness"] = witness_json(g, weighting)
         if result.refutation is not None:
-            payload["refutation"] = {
-                "coeffs": [
-                    [i, str(c)] for i, c in enumerate(result.refutation.coeffs) if c != 0
-                ],
-                "forcedZero": [str(x) for x in result.refutation.forced_zero],
-            }
+            payload["refutation"] = certificate_json(result.refutation)
         json.dump(payload, out, indent=2)
         out.write("\n")
     else:
-        print(verdict, file=out)
-        if result.witness is not None:
-            integral = result.witness.weighting.integral
-            detail = " ".join(
-                f"{u}-{v}:{integral[i]}" for i, (u, v) in enumerate(g.edges)
-            )
-            print(f"  witness: {detail}", file=out)
-    return _verdict_exit(verdict)
+        print(result.verdict.value, file=out)
+        if weighting is not None:
+            _print_witness(g, weighting, out)
+    return _VERDICT_EXIT[result.verdict]
 
 
 def _run_classify(g: Graph, cap: int, output: str, out: TextIO, witness_only: bool) -> int:
@@ -231,10 +226,9 @@ def _run_classify(g: Graph, cap: int, output: str, out: TextIO, witness_only: bo
         if cls.witness is None:
             print(cls.verdict.value, file=out)
         else:
-            integral = cls.witness.integral
-            for i, (u, v) in enumerate(g.edges):
-                print(f"{u} {v} {integral[i]}", file=out)
-        return _verdict_exit(cls.verdict.value)
+            for (u, v), w in zip(g.edges, cls.witness.integral):
+                print(f"{u} {v} {w}", file=out)
+        return _VERDICT_EXIT[cls.verdict]
     if output == "json":
         json.dump(classification_to_json(g, cls), out, indent=2)
         out.write("\n")
@@ -242,23 +236,15 @@ def _run_classify(g: Graph, cap: int, output: str, out: TextIO, witness_only: bo
         tag = f" ({cls.case_tag.value})" if cls.case_tag is not None else ""
         print(f"{cls.verdict.value}{tag}", file=out)
         if cls.witness is not None:
-            integral = cls.witness.integral
-            detail = " ".join(
-                f"{u}-{v}:{integral[i]}" for i, (u, v) in enumerate(g.edges)
-            )
-            print(f"  witness: {detail}", file=out)
-    return _verdict_exit(cls.verdict.value)
+            _print_witness(g, cls.witness, out)
+    return _VERDICT_EXIT[cls.verdict]
 
 
 def _run_census(args: argparse.Namespace, cap: int, out: TextIO) -> int:
     ns = _parse_range(args.nrange) if args.nrange else []
     lines: list[str] = []
     if args.graph6_file:
-        try:
-            with open(args.graph6_file, "r", encoding="ascii") as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
-            raise CliError(f"cannot read {args.graph6_file}: {exc}") from exc
+        lines = _read_file(args.graph6_file).splitlines()
     if not ns and not lines:
         raise CliError("census needs -n MIN..MAX and/or --graph6-file")
     workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)

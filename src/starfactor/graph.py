@@ -233,7 +233,9 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(_G6_PREFIX):]
     if not s:
         raise Graph6Error("empty graph6 string")
-    data = s.encode("ascii", errors="replace")
+    if not s.isascii():
+        raise Graph6Error("non-ASCII character in graph6 string")
+    data = s.encode("ascii")
     for b in data:
         if not (63 <= b <= 126):
             raise Graph6Error(f"byte {b} outside graph6 range 63..126")
@@ -284,6 +286,9 @@ def to_graph6(g: Graph) -> str:
 
 def girth(g: Graph) -> Girth:
     """Shortest cycle length via BFS from every vertex; Infinite for forests."""
+    if g.m - g.n + len(connected_components(g)) == 0:
+        # cycle rank zero: a forest, found in linear time
+        return Girth.infinite()
     best: int | None = None
     adjacency = g.adjacency
     for root in range(g.n):

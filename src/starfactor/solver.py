@@ -82,16 +82,36 @@ class Refutation:
 FeasibilityOutcome = Witness | Refutation
 
 
-class OracleVerdict(enum.Enum):
+def witness_json(g: Graph, weighting: Weighting) -> list[dict]:
+    """One {u, v, weight} object per edge, weights scaled to integers."""
+    return [
+        {"u": u, "v": v, "weight": w} for (u, v), w in zip(g.edges, weighting.integral)
+    ]
+
+
+def certificate_json(refutation: Refutation) -> dict:
+    """The certificate's nonzero coefficients and its forced-zero vector."""
+    return {
+        "coeffs": [[i, str(c)] for i, c in enumerate(refutation.coeffs) if c != ZERO],
+        "forcedZero": [str(x) for x in refutation.forced_zero],
+    }
+
+
+class Verdict(enum.Enum):
+    """Membership verdict of the oracle, the classifier and the CLI."""
+
     MEMBER = "Member"
     NOT_MEMBER = "NotMember"
     VACUOUS = "Vacuous"
     CAP_EXCEEDED = "CapExceeded"
 
 
+OracleVerdict = Verdict  # the oracle's earlier name for the same enum
+
+
 @dataclass(frozen=True)
 class OracleResult:
-    verdict: OracleVerdict
+    verdict: Verdict
     witness: Witness | None = None
     refutation: Refutation | None = None
     factor_count: int | None = None
@@ -282,15 +302,15 @@ def omega_oracle(g: Graph, cap: int = DEFAULT_CAP) -> OracleResult:
     try:
         factors = enumerate_star_factors(g, cap=cap)
     except VacuousGraph:
-        return OracleResult(verdict=OracleVerdict.VACUOUS)
+        return OracleResult(verdict=Verdict.VACUOUS)
     except CapExceeded:
-        return OracleResult(verdict=OracleVerdict.CAP_EXCEEDED)
+        return OracleResult(verdict=Verdict.CAP_EXCEEDED)
     vectors = incidence_vectors(factors, g.m)
     outcome = decide_uniform_weighting(vectors)
     if isinstance(outcome, Witness):
         return OracleResult(
-            verdict=OracleVerdict.MEMBER, witness=outcome, factor_count=len(factors)
+            verdict=Verdict.MEMBER, witness=outcome, factor_count=len(factors)
         )
     return OracleResult(
-        verdict=OracleVerdict.NOT_MEMBER, refutation=outcome, factor_count=len(factors)
+        verdict=Verdict.NOT_MEMBER, refutation=outcome, factor_count=len(factors)
     )

@@ -118,6 +118,12 @@ class TestCrossValidate:
         assert classes <= {"5", "6", "7", ">=8", "inf"}
         assert sum(r.graph_count for r in result.rows) == 137
 
+    def test_girth_filter_compares_girth_values(self):
+        # C8 and C9 share the ">=8" class, but only C9 has girth >= 9
+        lines = [to_graph6(cycle(8)), to_graph6(cycle(9))]
+        result = cross_validate(graph6_lines=lines, girth_min=9)
+        assert [(r.n, r.girth_class, r.graph_count) for r in result.rows] == [(9, ">=8", 1)]
+
     def test_worker_count_does_not_change_result(self):
         seq = cross_validate(ns=[5], girth_min=5)
         par = cross_validate(ns=[5], girth_min=5, workers=2)

@@ -244,6 +244,16 @@ class TestFullClassify:
         with pytest.raises(CapExceeded):
             classify(cycle(3), cap=2)
 
+    def test_core_kinds_in_original_vertex_ids(self):
+        # P7 on vertices 5..11: deleting leaves 5, 11 and stems 6, 10
+        # leaves the star 7-8-9
+        cls = classify(disjoint_union(cycle(5), path(7)))
+        assert cls.verdict is Verdict.MEMBER
+        assert cls.per_component[1].vertices == tuple(range(5, 12))
+        assert cls.per_component[1].core_kinds == (
+            StarCore(center=8, leaves=(7, 9), center_degree=2),
+        )
+
     def test_component_reports_cover_vertices(self):
         g = disjoint_union(path(3), cycle(5))
         cls = classify(g)

@@ -208,6 +208,45 @@ class TestErrorsAndConfig:
         code, _, err = invoke(["oracle", c5_file, "--cap", "-3"])
         assert code == EXIT_USAGE
 
+    def test_zero_cap_rejected(self, c5_file):
+        code, _, err = invoke(["oracle", c5_file, "--cap", "0"])
+        assert code == EXIT_USAGE
+        assert "cap must be >= 1" in err
+
+    def test_non_ascii_graph_file(self, tmp_path):
+        p = tmp_path / "c5.edgelist"
+        p.write_bytes(format_edge_list(cycle(5)).encode() + b"# caf\xc3\xa9\n")
+        code, out, err = invoke(["classify", str(p)])
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and "non-ASCII byte 0xc3" in err
+
+    def test_non_ascii_graph6_stdin(self):
+        code, out, err = invoke(["classify", "-", "--format", "graph6"], stdin_text="D\u00e9c\n")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and "non-ASCII" in err
+
+    def test_non_ascii_graph6_file(self, tmp_path):
+        p = tmp_path / "graphs.g6"
+        p.write_bytes(to_graph6(cycle(5)).encode() + b"\n\xff\n")
+        code, out, err = invoke(["census", "--graph6-file", str(p), "--workers", "1"])
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and "non-ASCII byte 0xff" in err
+
     def test_bad_census_range(self):
         code, _, err = invoke(["census", "-n", "1..9"])
         assert code == EXIT_USAGE
+
+    def test_huge_census_range_rejected_before_expansion(self):
+        code, _, err = invoke(["census", "-n", "1..1000000000000"])
+        assert code == EXIT_USAGE
+        assert "built-in census supports n in 1..7" in err
+
+    def test_empty_census_range(self):
+        code, _, err = invoke(["census", "-n", "5..3"])
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and "'5..3' is empty" in err
+
+    def test_non_numeric_census_range(self):
+        code, _, err = invoke(["census", "-n", "abc"])
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and "'abc' is not N or MIN..MAX" in err
