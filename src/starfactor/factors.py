@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 from .graph import Graph
 
@@ -77,9 +78,11 @@ def enumerate_star_factors(g: Graph, cap: int = DEFAULT_CAP) -> list[StarFactor]
 
     Backtracks on the lowest uncovered vertex v: either v is a center with
     some nonempty subset of its uncovered neighbors as leaves, or v is a
-    leaf of an uncovered neighbor u together with any subset of u's other
-    uncovered neighbors.  Distinctness is by edge set, which collapses the
-    two orientations of a K_{1,1}.
+    leaf of an uncovered neighbor u together with a nonempty subset of u's
+    other uncovered neighbors.  A K_{1,1} is made only in the first branch,
+    so every factor is reached exactly once and the cap counts as it goes.
+    The search keeps an explicit stack, so its depth is not bounded by
+    Python's recursion limit.
 
     Raises VacuousGraph if g has an isolated vertex and CapExceeded if more
     than ``cap`` factors exist (never a silent truncation).
@@ -88,45 +91,58 @@ def enumerate_star_factors(g: Graph, cap: int = DEFAULT_CAP) -> list[StarFactor]
         raise VacuousGraph("graph has an isolated vertex")
     if cap < 1:
         raise ValueError("cap must be positive")
+    if g.n == 0:
+        return [StarFactor(stars=(), edge_set=frozenset())]
     edge_index = g.edge_index
-    found: set[frozenset[int]] = set()
+    adjacency = g.adjacency
     covered = [False] * g.n
     chosen: list[int] = []
+    found: list[frozenset[int]] = []
 
-    def place_star(center: int, leaves: tuple[int, ...]) -> None:
-        idxs = [edge_index[(min(center, x), max(center, x))] for x in leaves]
-        covered[center] = True
-        for x in leaves:
-            covered[x] = True
-        chosen.extend(idxs)
-        extend()
-        del chosen[len(chosen) - len(idxs):]
-        covered[center] = False
-        for x in leaves:
-            covered[x] = False
-
-    def extend() -> None:
-        v = next((i for i in range(g.n) if not covered[i]), None)
-        if v is None:
-            key = frozenset(chosen)
-            if key not in found:
-                found.add(key)
-                if len(found) > cap:
-                    raise CapExceeded(cap)
-            return
-        free = [u for u in g.adjacency[v] if not covered[u]]
-        # v as a center
+    def stars_at(v: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """(center, leaves) for every star that covers v; read lazily, so
+        only ever advanced while ``covered`` is as it was at the call."""
+        free = [u for u in adjacency[v] if not covered[u]]
         for size in range(1, len(free) + 1):
             for leaves in combinations(free, size):
-                place_star(v, leaves)
-        # v as a leaf of some uncovered neighbor u
+                yield v, leaves
         for u in free:
-            others = [x for x in g.adjacency[u] if not covered[x] and x != v]
-            for size in range(len(others) + 1):
+            others = [x for x in adjacency[u] if not covered[x] and x != v]
+            for size in range(1, len(others) + 1):
                 for extra in combinations(others, size):
-                    place_star(u, (v,) + extra)
+                    yield u, (v,) + extra
 
-    extend()
+    def toggle(center: int, leaves: tuple[int, ...], on: bool) -> None:
+        covered[center] = on
+        for x in leaves:
+            covered[x] = on
+        if on:
+            chosen.extend(edge_index[(min(center, x), max(center, x))] for x in leaves)
+        else:
+            del chosen[len(chosen) - len(leaves):]
+
+    # frames[k] = (v, the stars covering v still to try) at depth k;
+    # placed[k] is the star in use at depth k.
+    frames = [(0, stars_at(0))]
+    placed: list[tuple[int, tuple[int, ...]]] = []
+    while frames:
+        v, stars = frames[-1]
+        star = next(stars, None)
+        if star is None:
+            frames.pop()
+            if placed:
+                toggle(*placed.pop(), on=False)
+            continue
+        toggle(*star, on=True)
+        nxt = next((i for i in range(v + 1, g.n) if not covered[i]), None)
+        if nxt is None:
+            found.append(frozenset(chosen))
+            if len(found) > cap:
+                raise CapExceeded(cap)
+            toggle(*star, on=False)
+        else:
+            placed.append(star)
+            frames.append((nxt, stars_at(nxt)))
     return [
         StarFactor(stars=_stars_from_edge_set(g, es), edge_set=es)
         for es in sorted(found, key=lambda es: tuple(sorted(es)))

@@ -1,46 +1,89 @@
 """Dense two-phase primal simplex over exact rationals with Bland's rule.
 
-Solves  max c.x  subject to  A x = b, x >= 0  with Fraction arithmetic.
-Bland's rule (lowest eligible index for both entering and leaving
-variable) guarantees termination on the small, highly degenerate systems
-produced by the star-weighting feasibility problems.
+Solves  max c.x  subject to  A x = b, x >= 0  exactly, in integers and
+without floating point.  Each tableau row is a list of ints over one
+positive row denominator, which is the row's entry in the column of its
+basic variable; the objective row is a positive multiple of the reduced
+costs, since only their signs steer the method.  A pivot divides the
+pivot row by its gcd and updates only the rows with a nonzero entry in
+the pivot column: by a sparse subtraction when the pivot divides the
+row's entry, otherwise by scaling with the reduced pivot and dividing
+out the gcd.  Bland's rule (lowest eligible index for both entering and
+leaving variable) guarantees termination on the small, highly degenerate
+systems produced by the star-weighting feasibility problems.  Every
+choice depends only on signs and on cross-multiplied ratios, so it is
+the choice the same tableau kept in rationals would make.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class SimplexError(Exception):
     """Internal solver failure (infeasible or unbounded program)."""
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    if piv != ONE:
-        inv = ONE / piv
-        tableau[row] = [x * inv for x in tableau[row]]
-    pivot_row = tableau[row]
+def _integer_row(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """(ints, d) with values[j] == ints[j] / d and d > 0 the least such."""
+    d = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
+def _nonzero(row: list[int]) -> list[int]:
+    return [j for j, y in enumerate(row) if y]
+
+
+def eliminate(
+    row: list[int], pivot_row: list[int], col: int, nonzero: list[int] | None = None
+) -> list[int]:
+    """A positive multiple of ``row`` minus the multiple of ``pivot_row``
+    (positive at ``col``) that zeroes column ``col``.
+
+    When the pivot entry divides the row's entry and the pivot row's
+    ``nonzero`` columns are given, only those columns change.  Otherwise
+    the row is scaled by the reduced pivot and comes out primitive.
+    """
+    g = math.gcd(pivot_row[col], row[col])
+    scale, factor = pivot_row[col] // g, row[col] // g
+    if scale == 1 and nonzero is not None:
+        row = row[:]
+        for j in nonzero:
+            row[j] -= factor * pivot_row[j]
+        return row
+    row = [scale * x - factor * y for x, y in zip(row, pivot_row)]
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def primitive(row: list[int], col: int) -> list[int]:
+    """A nonzero row divided by the gcd of its entries, signed to be
+    positive at ``col``."""
+    g = math.gcd(*row)
+    if row[col] < 0:
+        g = -g
+    return row if g == 1 else [x // g for x in row]
+
+
+def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int) -> list[int]:
+    """Pivot on (row, col); returns the pivot row's nonzero columns."""
+    pivot_row = tableau[row] = primitive(tableau[row], col)
+    nonzero = _nonzero(pivot_row)
     for r, tr in enumerate(tableau):
-        if r == row:
-            continue
-        factor = tr[col]
-        if factor == ZERO:
-            continue
-        tableau[r] = [x - factor * y for x, y in zip(tr, pivot_row)]
+        if r != row and tr[col]:
+            tableau[r] = eliminate(tr, pivot_row, col, nonzero)
     basis[row] = col
+    return nonzero
 
 
 def _iterate(
-    tableau: list[list[Fraction]],
+    tableau: list[list[int]],
     basis: list[int],
-    obj: list[Fraction],
+    obj: list[int],
     allowed: Sequence[bool],
-) -> list[Fraction]:
+) -> list[int]:
     """Run simplex iterations on (tableau, basis) for the objective row.
 
     ``obj`` is the reduced-cost row including the rhs entry in the last
@@ -49,28 +92,25 @@ def _iterate(
     """
     ncols = len(obj) - 1
     while True:
-        enter = -1
-        for j in range(ncols):
-            if allowed[j] and obj[j] > ZERO:
-                enter = j
-                break
+        enter = next((j for j in range(ncols) if allowed[j] and obj[j] > 0), -1)
         if enter < 0:
             return obj
+        # A row's ratio rhs/entry does not depend on its denominator, so
+        # ratios compare by cross-multiplying with the positive entries.
         leave = -1
-        best: Fraction | None = None
         for r, tr in enumerate(tableau):
             a = tr[enter]
-            if a > ZERO:
-                ratio = tr[-1] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best = ratio
-                    leave = r
+            if a <= 0:
+                continue
+            if leave >= 0:
+                lhs, rhs = tr[-1] * best_a, best_b * a
+                if lhs > rhs or (lhs == rhs and basis[r] > basis[leave]):
+                    continue
+            leave, best_a, best_b = r, a, tr[-1]
         if leave < 0:
             raise SimplexError("unbounded objective")
-        _pivot(tableau, basis, leave, enter)
-        factor = obj[enter]
-        pivot_row = tableau[leave]
-        obj = [x - factor * y for x, y in zip(obj, pivot_row)]
+        nonzero = _pivot(tableau, basis, leave, enter)
+        obj = eliminate(obj, tableau[leave], enter, nonzero)
 
 
 def solve(
@@ -87,35 +127,34 @@ def solve(
     nvars = len(c)
     nrows = len(rows)
     # Standard form with one artificial variable per row; rhs made nonnegative.
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
     for i in range(nrows):
-        row = [Fraction(x) for x in rows[i]]
-        b = Fraction(rhs[i])
-        if len(row) != nvars:
+        if len(rows[i]) != nvars:
             raise ValueError("row length mismatch")
-        if b < ZERO:
-            row = [-x for x in row]
-            b = -b
-        art = [ZERO] * nrows
-        art[i] = ONE
-        tableau.append(row + art + [b])
+        ints, d = _integer_row([*rows[i], rhs[i]])
+        if ints[-1] < 0:
+            ints = [-x for x in ints]
+        art = [0] * nrows
+        art[i] = d
+        tableau.append(ints[:-1] + art + ints[-1:])
     basis = [nvars + i for i in range(nrows)]
     ncols = nvars + nrows
 
-    # Phase 1: maximize -(sum of artificials).
-    obj1 = [ZERO] * (ncols + 1)
-    for i in range(nrows):
-        obj1[nvars + i] = -ONE
-    for i in range(nrows):  # price out the initial basis
-        obj1 = [x + y for x, y in zip(obj1, tableau[i])]
+    # Phase 1: maximize -(sum of artificials), priced out over the lcm of
+    # the row denominators; the artificial columns price out to zero.
+    dens = [tableau[i][nvars + i] for i in range(nrows)]
+    lcm = math.lcm(*dens)
+    scaled = [tr if d == lcm else [x * (lcm // d) for x in tr] for tr, d in zip(tableau, dens)]
+    obj1 = [sum(col) for col in zip(*scaled)] if nrows else [0] * (ncols + 1)
+    obj1[nvars:ncols] = [0] * nrows
     allowed = [True] * ncols
     obj1 = _iterate(tableau, basis, obj1, allowed)
-    if obj1[-1] != ZERO:
+    if obj1[-1] != 0:
         raise SimplexError("infeasible program")
     # Drive leftover artificials out of the (degenerate) basis.
     for r in range(nrows - 1, -1, -1):
         if basis[r] >= nvars:
-            col = next((j for j in range(nvars) if tableau[r][j] != ZERO), None)
+            col = next((j for j in range(nvars) if tableau[r][j]), None)
             if col is None:
                 del tableau[r]
                 del basis[r]
@@ -123,16 +162,15 @@ def solve(
                 _pivot(tableau, basis, r, col)
 
     # Phase 2: original objective, artificial columns barred.
-    obj2 = [Fraction(x) for x in c] + [ZERO] * nrows + [ZERO]
+    obj2 = _integer_row([*c, *[0] * (nrows + 1)])[0]
     for r, bi in enumerate(basis):
-        factor = obj2[bi]
-        if factor != ZERO:
-            obj2 = [x - factor * y for x, y in zip(obj2, tableau[r])]
+        if obj2[bi]:
+            obj2 = eliminate(obj2, tableau[r], bi, _nonzero(tableau[r]))
     allowed = [j < nvars for j in range(ncols)]
-    obj2 = _iterate(tableau, basis, obj2, allowed)
+    _iterate(tableau, basis, obj2, allowed)
 
-    x = [ZERO] * nvars
+    x = [Fraction(0)] * nvars
     for r, bi in enumerate(basis):
         if bi < nvars:
-            x[bi] = tableau[r][-1]
-    return -obj2[-1], x
+            x[bi] = Fraction(tableau[r][-1], tableau[r][bi])
+    return sum((c[j] * x[j] for j in basis if j < nvars and c[j]), Fraction(0)), x

@@ -3,15 +3,19 @@
 A graph belongs to the family iff some strictly positive edge-weighting
 gives every star-factor the same total weight.  Writing x_i for the
 factor incidence vectors, that is a strictly positive solution of
-(x_i - x_1).w = 0 for all i.  The decision runs over exact rationals:
+(x_i - x_1).w = 0 for all i.  The decision is exact and never uses
+floating point.  A fraction-free elimination in integers reduces D to a
+basis B of its row space (primitive rows, positive pivots); then
 
-  maximize t  subject to  D w = 0,  w_e >= t,  w_e <= 1
+  maximize t  subject to  B w = 0,  w_e >= t,  w_e <= 1
 
 has optimum t > 0 exactly when a positive solution exists (the system is
 homogeneous, so any positive solution scales into the box).  At optimum
-t = 0, Stiemke's alternative guarantees a nonnegative nonzero vector in
-the row space of D; a second small program extracts it as a certificate
-that is checkable without trusting the simplex.
+t = 0, Stiemke's alternative guarantees a nonnegative nonzero vector y.B
+in the row space; a one-signed basis row is one, and otherwise a second
+small program finds y.  Only then are the certificate's coefficients on
+the rows of D recovered, from one small square system, so that the
+certificate is checkable without trusting the simplex.
 """
 
 from __future__ import annotations
@@ -127,60 +131,64 @@ def difference_matrix(vectors: Sequence[IncidenceVector]) -> list[list[int]]:
     return [[a - b for a, b in zip(v, first)] for v in vectors[1:]]
 
 
-def _reduce_rows(
-    d_rows: list[list[int]],
-) -> tuple[list[list[Fraction]], list[dict[int, Fraction]]]:
-    """Reduced row echelon basis of the row space of D, with provenance.
+def _reduce_rows(d_rows: list[list[int]]) -> tuple[list[list[int]], list[int], list[int]]:
+    """Fraction-free row basis of the row space of D.
 
-    Returns (basis, combos) where basis row j equals
-    sum over i of combos[j][i] * D[i].
+    Returns (rows, pivots, used): each row is a primitive integer row,
+    positive at its own pivot column and zero at the other rows' pivot
+    columns, and used[j] is the index of the D row that entered the basis
+    as row j.  Dividing each row by its pivot entry gives the unique
+    reduced basis of the row space with identity on the pivot columns.
     """
-    basis: list[list[Fraction]] = []
-    combos: list[dict[int, Fraction]] = []
+    rows: list[list[int]] = []
     pivots: list[int] = []
+    used: list[int] = []
     for i, raw in enumerate(d_rows):
-        row = [Fraction(x) for x in raw]
-        combo: dict[int, Fraction] = {i: ONE}
-        for j, p in enumerate(pivots):
-            f = row[p]
-            if f != ZERO:
-                brow = basis[j]
-                row = [x - f * y for x, y in zip(row, brow)]
-                for k, c in combos[j].items():
-                    combo[k] = combo.get(k, ZERO) - f * c
-        pivot = next((k for k, x in enumerate(row) if x != ZERO), None)
+        row = list(raw)
+        for brow, p in zip(rows, pivots):
+            if row[p]:
+                row = simplex.eliminate(row, brow, p)
+        pivot = next((k for k, x in enumerate(row) if x), None)
         if pivot is None:
             continue
-        inv = ONE / row[pivot]
-        row = [x * inv for x in row]
-        combo = {k: c * inv for k, c in combo.items() if c != ZERO}
+        row = simplex.primitive(row, pivot)
         # clear the new pivot column from the existing basis rows
-        for j in range(len(basis)):
-            f = basis[j][pivot]
-            if f != ZERO:
-                basis[j] = [x - f * y for x, y in zip(basis[j], row)]
-                cj = combos[j]
-                for k, c in combo.items():
-                    cj[k] = cj.get(k, ZERO) - f * c
-        basis.append(row)
-        combos.append(combo)
+        for j, brow in enumerate(rows):
+            if brow[pivot]:
+                rows[j] = simplex.eliminate(brow, row, pivot)
+        rows.append(row)
         pivots.append(pivot)
-    return basis, combos
+        used.append(i)
+    return rows, pivots, used
 
 
-def _refutation_from_combination(
-    nrows: int, ys: Sequence[Fraction], basis: list[list[Fraction]], combos: list[dict[int, Fraction]]
+def _refutation(
+    d_rows: list[list[int]],
+    ys: Sequence[Fraction],
+    rows: list[list[int]],
+    pivots: list[int],
+    used: list[int],
 ) -> Refutation:
-    m = len(basis[0])
-    forced = [ZERO] * m
-    coeffs = [ZERO] * nrows
-    for y, brow, combo in zip(ys, basis, combos):
-        if y == ZERO:
-            continue
-        for e in range(m):
-            forced[e] += y * brow[e]
-        for k, c in combo.items():
-            coeffs[k] += y * c
+    """The certificate y.B with B the reduced basis, and its coefficients on D.
+
+    The used D rows are independent, so the coefficients c are unique; on
+    the pivot columns y.B equals y, so they solve the r x r system
+    sum_t c_t D[used_t][pivot_j] = y_j, which is reduced fraction-free too.
+    """
+    forced = [ZERO] * len(rows[0])
+    for y, row, p in zip(ys, rows, pivots):
+        if y != ZERO:
+            for e, x in enumerate(row):
+                if x:
+                    forced[e] += y * Fraction(x, row[p])
+    scale = math.lcm(*(y.denominator for y in ys))
+    system = [
+        [d_rows[t][p] for t in used] + [y.numerator * (scale // y.denominator)]
+        for y, p in zip(ys, pivots)
+    ]
+    coeffs = [ZERO] * len(d_rows)
+    for row, t in zip(*_reduce_rows(system)[:2]):
+        coeffs[used[t]] = Fraction(row[-1], row[t])
     return Refutation(coeffs=tuple(coeffs), forced_zero=tuple(forced))
 
 
@@ -188,82 +196,78 @@ def decide_uniform_weighting(vectors: Sequence[IncidenceVector]) -> FeasibilityO
     """Exact decision: uniform positive weighting, or a Stiemke certificate."""
     d_rows = difference_matrix(vectors)
     m = len(vectors[0])
-    basis, combos = _reduce_rows(d_rows)
-    nrows = len(d_rows)
-    if not basis:
+    rows, pivots, used = _reduce_rows(d_rows)
+    if not rows:
         weighting = Weighting.constant(m) if m else Weighting(())
         return Witness(weighting=weighting, common_weight=Fraction(sum(vectors[0])))
 
-    # A one-signed basis row is already a certificate.
-    for j, brow in enumerate(basis):
-        if all(x >= ZERO for x in brow):
-            return _refutation_from_combination(nrows, _unit(len(basis), j, ONE), basis, combos)
-        if all(x <= ZERO for x in brow):
-            return _refutation_from_combination(nrows, _unit(len(basis), j, -ONE), basis, combos)
+    # A one-signed basis row is already a certificate; its pivot entry is
+    # positive, so it is nonnegative.
+    r = len(rows)
+    for j, row in enumerate(rows):
+        if all(x >= 0 for x in row):
+            ys = [ZERO] * r
+            ys[j] = ONE
+            return _refutation(d_rows, ys, rows, pivots, used)
 
-    r = len(basis)
+    # The reduced basis, each row divided by its pivot entry.
+    basis = [
+        row if row[p] == 1 else [Fraction(x, row[p]) if x else 0 for x in row]
+        for row, p in zip(rows, pivots)
+    ]
     # LP1 variables: w_0..w_{m-1}, t, surplus s_e (w_e - t >= 0), slack u_e (w_e <= 1)
     nvars = 3 * m + 1
-    rows: list[list[Fraction | int]] = []
-    rhs: list[Fraction | int] = []
-    for brow in basis:
-        rows.append(list(brow) + [ZERO] * (2 * m + 1))
-        rhs.append(ZERO)
+    lp_rows: list[list[Fraction | int]] = [[*brow, *[0] * (2 * m + 1)] for brow in basis]
+    rhs: list[int] = [0] * r
     for e in range(m):
         row = [0] * nvars
         row[e] = 1
         row[m] = -1
         row[m + 1 + e] = -1
-        rows.append(row)
+        lp_rows.append(row)
         rhs.append(0)
     for e in range(m):
         row = [0] * nvars
         row[e] = 1
         row[2 * m + 1 + e] = 1
-        rows.append(row)
+        lp_rows.append(row)
         rhs.append(1)
     c = [0] * nvars
     c[m] = 1
-    t_opt, x = simplex.solve(c, rows, rhs)
+    t_opt, x = simplex.solve(c, lp_rows, rhs)
     if t_opt > ZERO:
         scale = min(x[:m])
         weighting = Weighting(tuple(w / scale for w in x[:m]))
         common = sum(w for w, bit in zip(weighting.weights, vectors[0]) if bit)
         return Witness(weighting=weighting, common_weight=Fraction(common))
 
-    # LP2: find y with y.R >= 0, y.R != 0 (exists by Stiemke's alternative).
-    # Variables: p_j, q_j (y_j = p_j - q_j), s_e = (y.R)_e, slack u_e (s_e <= 1).
+    # LP2: find y with y.B >= 0, y.B != 0 (exists by Stiemke's alternative).
+    # Variables: p_j, q_j (y_j = p_j - q_j), s_e = (y.B)_e, slack u_e (s_e <= 1).
     nvars2 = 2 * r + 2 * m
     rows2: list[list[Fraction | int]] = []
-    rhs2: list[Fraction | int] = []
+    rhs2: list[int] = []
     for e in range(m):
-        row = [ZERO] * nvars2
+        row = [0] * nvars2
         for j, brow in enumerate(basis):
             row[j] = brow[e]
             row[r + j] = -brow[e]
-        row[2 * r + e] = -ONE
+        row[2 * r + e] = -1
         rows2.append(row)
-        rhs2.append(ZERO)
+        rhs2.append(0)
     for e in range(m):
-        row = [ZERO] * nvars2
-        row[2 * r + e] = ONE
-        row[2 * r + m + e] = ONE
+        row = [0] * nvars2
+        row[2 * r + e] = 1
+        row[2 * r + m + e] = 1
         rows2.append(row)
-        rhs2.append(ONE)
-    c2 = [ZERO] * nvars2
+        rhs2.append(1)
+    c2 = [0] * nvars2
     for e in range(m):
-        c2[2 * r + e] = ONE
+        c2[2 * r + e] = 1
     total, x2 = simplex.solve(c2, rows2, rhs2)
     if total <= ZERO:
         raise AssertionError("Stiemke alternative violated: no certificate found")
     ys = [x2[j] - x2[r + j] for j in range(r)]
-    return _refutation_from_combination(nrows, ys, basis, combos)
-
-
-def _unit(length: int, index: int, value: Fraction) -> list[Fraction]:
-    out = [ZERO] * length
-    out[index] = value
-    return out
+    return _refutation(d_rows, ys, rows, pivots, used)
 
 
 def verify_outcome(vectors: Sequence[IncidenceVector], outcome: FeasibilityOutcome) -> bool:

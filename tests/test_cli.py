@@ -13,7 +13,7 @@ from starfactor.cli import (
     EXIT_VACUOUS,
     run,
 )
-from starfactor.graph import format_edge_list, to_graph6
+from starfactor.graph import Graph, format_edge_list, to_graph6
 
 from conftest import cycle, path, star
 
@@ -93,6 +93,15 @@ class TestOracleCommand:
     def test_cap_exit_code(self, c6_g6_file):
         code, out, _ = invoke(["oracle", c6_g6_file, "--cap", "2"])
         assert code == EXIT_CAP
+
+    def test_large_matching_single_factor(self):
+        # a perfect matching has one star-factor, each edge a K_{1,1}
+        text = format_edge_list(Graph.from_edges(3000, [(2 * i, 2 * i + 1) for i in range(1500)]))
+        code, out, _ = invoke(["oracle", "-", "--output", "json"], stdin_text=text)
+        assert code == EXIT_MEMBER
+        payload = json.loads(out)
+        assert payload["verdict"] == "Member"
+        assert payload["factorCount"] == 1
 
 
 class TestFactorsCommand:
