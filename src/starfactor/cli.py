@@ -222,16 +222,20 @@ def _run_classify(g: Graph, cap: int, output: str, out: TextIO, witness_only: bo
     except CapExceeded:
         print(f"CapExceeded (more than {cap} star-factors)", file=out)
         return EXIT_CAP
-    if witness_only:
+    if output == "json":
+        if witness_only:
+            witness = witness_json(g, cls.witness) if cls.witness is not None else None
+            payload = {"verdict": cls.verdict.value, "witness": witness}
+        else:
+            payload = classification_to_json(g, cls)
+        json.dump(payload, out, indent=2)
+        out.write("\n")
+    elif witness_only:
         if cls.witness is None:
             print(cls.verdict.value, file=out)
         else:
             for (u, v), w in zip(g.edges, cls.witness.integral):
                 print(f"{u} {v} {w}", file=out)
-        return _VERDICT_EXIT[cls.verdict]
-    if output == "json":
-        json.dump(classification_to_json(g, cls), out, indent=2)
-        out.write("\n")
     else:
         tag = f" ({cls.case_tag.value})" if cls.case_tag is not None else ""
         print(f"{cls.verdict.value}{tag}", file=out)

@@ -2,7 +2,10 @@
 
 A star-factor is a spanning subgraph in which every component is a star
 K_{1,k} with k >= 1; a bare vertex is not a star, so graphs with isolated
-vertices have no star-factors at all.
+vertices have no star-factors at all.  The enumerator backtracks over int
+vertex bitmasks, cuts every branch that leaves some uncovered vertex
+without an uncovered neighbor, and keeps each factor's stars as it
+placed them.
 """
 
 from __future__ import annotations
@@ -44,35 +47,6 @@ class StarFactor:
         return len(self.edge_set)
 
 
-def _stars_from_edge_set(g: Graph, edge_set: frozenset[int]) -> tuple[tuple[int, frozenset[int]], ...]:
-    """Reconstruct the canonical (center, leaves) structure of a star forest.
-
-    For K_{1,1} components the lower-indexed endpoint is the center.
-    """
-    neighbors: dict[int, list[int]] = {}
-    for i in edge_set:
-        u, v = g.edges[i]
-        neighbors.setdefault(u, []).append(v)
-        neighbors.setdefault(v, []).append(u)
-    stars = []
-    done: set[int] = set()
-    for v in sorted(neighbors):
-        if v in done:
-            continue
-        if len(neighbors[v]) >= 2:
-            center, leaves = v, neighbors[v]
-        else:
-            u = neighbors[v][0]
-            if len(neighbors[u]) >= 2:
-                center, leaves = u, neighbors[u]
-            else:
-                center, leaves = min(u, v), [max(u, v)]
-        done.add(center)
-        done.update(leaves)
-        stars.append((center, frozenset(leaves)))
-    return tuple(stars)
-
-
 def enumerate_star_factors(g: Graph, cap: int = DEFAULT_CAP) -> list[StarFactor]:
     """All distinct star-factors of g, ordered lexicographically by edge set.
 
@@ -80,9 +54,13 @@ def enumerate_star_factors(g: Graph, cap: int = DEFAULT_CAP) -> list[StarFactor]
     some nonempty subset of its uncovered neighbors as leaves, or v is a
     leaf of an uncovered neighbor u together with a nonempty subset of u's
     other uncovered neighbors.  A K_{1,1} is made only in the first branch,
-    so every factor is reached exactly once and the cap counts as it goes.
-    The search keeps an explicit stack, so its depth is not bounded by
-    Python's recursion limit.
+    from its lower endpoint, so every factor is reached exactly once and
+    the cap counts as it goes.  Vertex sets are int bitmasks.  A branch is
+    cut as soon as an uncovered vertex next to the star just placed has no
+    uncovered neighbor left (only those can lose their last one), so the
+    search grows no branch that cannot finish.  Each factor keeps its stars
+    as they were placed, ordered by lowest vertex.  The search keeps an
+    explicit stack, so its depth is not bounded by Python's recursion limit.
 
     Raises VacuousGraph if g has an isolated vertex and CapExceeded if more
     than ``cap`` factors exist (never a silent truncation).
@@ -95,58 +73,64 @@ def enumerate_star_factors(g: Graph, cap: int = DEFAULT_CAP) -> list[StarFactor]
         return [StarFactor(stars=(), edge_set=frozenset())]
     edge_index = g.edge_index
     adjacency = g.adjacency
-    covered = [False] * g.n
-    chosen: list[int] = []
-    found: list[frozenset[int]] = []
+    reach = [sum(1 << u for u in ns) for ns in adjacency]
+    found: list[tuple[tuple[int, tuple[int, ...]], ...]] = []
 
-    def stars_at(v: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """(center, leaves) for every star that covers v; read lazily, so
-        only ever advanced while ``covered`` is as it was at the call."""
-        free = [u for u in adjacency[v] if not covered[u]]
-        for size in range(1, len(free) + 1):
-            for leaves in combinations(free, size):
+    def stars_at(v: int, free: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """(center, leaves) for every star that covers v, given the mask
+        ``free`` of the other uncovered vertices."""
+        around = [u for u in adjacency[v] if free >> u & 1]
+        for size in range(1, len(around) + 1):
+            for leaves in combinations(around, size):
                 yield v, leaves
-        for u in free:
-            others = [x for x in adjacency[u] if not covered[x] and x != v]
+        for u in around:
+            others = [x for x in adjacency[u] if free >> x & 1]
             for size in range(1, len(others) + 1):
                 for extra in combinations(others, size):
                     yield u, (v,) + extra
 
-    def toggle(center: int, leaves: tuple[int, ...], on: bool) -> None:
-        covered[center] = on
-        for x in leaves:
-            covered[x] = on
-        if on:
-            chosen.extend(edge_index[(min(center, x), max(center, x))] for x in leaves)
-        else:
-            del chosen[len(chosen) - len(leaves):]
-
-    # frames[k] = (v, the stars covering v still to try) at depth k;
-    # placed[k] is the star in use at depth k.
-    frames = [(0, stars_at(0))]
+    # frames[k] = (uncovered mask, the stars covering its lowest vertex
+    # still to try) at depth k; placed[k] is the star in use at depth k.
+    full = (1 << g.n) - 1
+    frames = [(full, stars_at(0, full ^ 1))]
     placed: list[tuple[int, tuple[int, ...]]] = []
     while frames:
-        v, stars = frames[-1]
+        uncovered, stars = frames[-1]
         star = next(stars, None)
         if star is None:
             frames.pop()
             if placed:
-                toggle(*placed.pop(), on=False)
+                placed.pop()
             continue
-        toggle(*star, on=True)
-        nxt = next((i for i in range(v + 1, g.n) if not covered[i]), None)
-        if nxt is None:
-            found.append(frozenset(chosen))
+        center, leaves = star
+        left = uncovered & ~(1 << center)
+        near = reach[center]
+        for x in leaves:
+            left &= ~(1 << x)
+            near |= reach[x]
+        if not left:
+            found.append((*placed, star))
             if len(found) > cap:
                 raise CapExceeded(cap)
-            toggle(*star, on=False)
-        else:
-            placed.append(star)
-            frames.append((nxt, stars_at(nxt)))
-    return [
-        StarFactor(stars=_stars_from_edge_set(g, es), edge_set=es)
-        for es in sorted(found, key=lambda es: tuple(sorted(es)))
-    ]
+            continue
+        # cut if an uncovered vertex next to the star has lost its last
+        # uncovered neighbor; near stops at the lowest such vertex
+        near &= left
+        while near and reach[(near & -near).bit_length() - 1] & left:
+            near &= near - 1
+        if near:
+            continue
+        placed.append(star)
+        v = (left & -left).bit_length() - 1
+        frames.append((left, stars_at(v, left ^ (1 << v))))
+    factors = []
+    for stars in found:
+        edges = tuple(sorted(
+            edge_index[(c, x) if c < x else (x, c)] for c, ls in stars for x in ls
+        ))
+        factors.append((edges, tuple((c, frozenset(ls)) for c, ls in stars)))
+    factors.sort(key=lambda f: f[0])
+    return [StarFactor(stars=stars, edge_set=frozenset(es)) for es, stars in factors]
 
 
 def incidence_vectors(factors: list[StarFactor], m: int) -> list[IncidenceVector]:
@@ -155,7 +139,10 @@ def incidence_vectors(factors: list[StarFactor], m: int) -> list[IncidenceVector
     for f in factors:
         if any(i >= m or i < 0 for i in f.edge_set):
             raise ValueError(f"edge index out of range for m={m}")
-        vectors.append(tuple(1 if i in f.edge_set else 0 for i in range(m)))
+        v = [0] * m
+        for i in f.edge_set:
+            v[i] = 1
+        vectors.append(tuple(v))
     return vectors
 
 

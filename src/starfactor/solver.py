@@ -139,11 +139,16 @@ def _reduce_rows(d_rows: list[list[int]]) -> tuple[list[list[int]], list[int], l
     columns, and used[j] is the index of the D row that entered the basis
     as row j.  Dividing each row by its pivot entry gives the unique
     reduced basis of the row space with identity on the pivot columns.
+    The scan stops once the basis has as many rows as D has columns: the
+    basis then spans every row, so each later row would reduce to zero.
     """
     rows: list[list[int]] = []
     pivots: list[int] = []
     used: list[int] = []
+    width = len(d_rows[0]) if d_rows else 0
     for i, raw in enumerate(d_rows):
+        if len(rows) == width:
+            break
         row = list(raw)
         for brow, p in zip(rows, pivots):
             if row[p]:

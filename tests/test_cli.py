@@ -139,6 +139,16 @@ class TestGirthAndWitness:
         assert code == EXIT_NOT_MEMBER
         assert out.strip() == "NotMember"
 
+    def test_witness_json(self, c6_g6_file):
+        code, out, _ = invoke(["witness", "-", "--output", "json"], stdin_text=format_edge_list(path(6)))
+        assert code == EXIT_MEMBER
+        payload = json.loads(out)
+        assert payload["verdict"] == "Member"
+        assert [e["weight"] for e in payload["witness"]] == [1, 1, 2, 1, 1]
+        code, out, _ = invoke(["witness", c6_g6_file, "--output", "json"])
+        assert code == EXIT_NOT_MEMBER
+        assert json.loads(out) == {"verdict": "NotMember", "witness": None}
+
 
 class TestCensusCommand:
     def test_small_range_text(self):

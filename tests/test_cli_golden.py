@@ -1,9 +1,11 @@
 """Byte-for-byte CLI snapshots for the graph-deciding commands.
 
 ``tests/data/cli_golden.json`` holds the exit code and exact stdout of
-``oracle``, ``classify`` and ``witness``, in text and JSON output, on a
-fixed set of graphs.  Regenerate it only for an intended output change,
-by running this file as a script from the repository root:
+``oracle``, ``classify``, ``witness`` and ``factors``, in text and JSON
+output, on a fixed set of graphs.  The ``factors`` JSON pins each
+factor's stars: centres, leaves and their order.  Regenerate it only
+for an intended output change, by running this file as a script from
+the repository root:
 
     PYTHONPATH=src:tests python tests/test_cli_golden.py
 """
@@ -38,7 +40,7 @@ GRAPHS = {
 
 COMMANDS = [
     [command, *output]
-    for command in ("oracle", "classify", "witness")
+    for command in ("oracle", "classify", "witness", "factors")
     for output in ([], ["--output", "json"])
 ]
 

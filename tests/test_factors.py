@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starfactor.factors import (
     CapExceeded,
@@ -23,6 +25,7 @@ from conftest import (
     spider,
     star,
 )
+from test_properties import graphs
 
 
 def all_graphs(n):
@@ -63,6 +66,31 @@ class TestAgainstBruteForce:
             factors = enumerate_star_factors(star(m))
             assert len(factors) == 1
             assert factors[0].edge_set == frozenset(range(m))
+
+
+class TestRandomGraphs:
+    # any graph with n <= 8 and m <= 12: disconnected ones and ones with
+    # isolated vertices included
+    @given(graphs(max_n=8, max_m=12), st.integers(min_value=1, max_value=12))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_subset_filter_stars_and_cap(self, g, cap):
+        # [DERIVED: degrees-only subset filter over all 2^m edge subsets]
+        expected = brute_star_factor_edge_sets(g)
+        if g.has_isolated_vertex():
+            with pytest.raises(VacuousGraph):
+                enumerate_star_factors(g)
+            assert expected == []
+            return
+        factors = enumerate_star_factors(g)
+        assert [f.edge_set for f in factors] == expected
+        for f in factors:
+            rebuilt = {g.edge_index[(min(c, x), max(c, x))] for c, leaves in f.stars for x in leaves}
+            assert rebuilt == f.edge_set
+        if len(expected) > cap:
+            with pytest.raises(CapExceeded):
+                enumerate_star_factors(g, cap=cap)
+        else:
+            assert len(enumerate_star_factors(g, cap=cap)) == len(expected)
 
 
 class TestStructure:

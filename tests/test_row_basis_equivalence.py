@@ -1,0 +1,80 @@
+"""The row basis with its full-rank stop against the scan it replaced.
+
+``reference_reduce_rows`` below is the earlier ``solver._reduce_rows``,
+kept verbatim apart from its name, which reduced every row of D even
+after the basis had reached full rank.  Once the basis has as many rows
+as D has columns every later row reduces to zero, so on every matrix
+both must return the same ``(rows, pivots, used)``.  The generated
+matrices include full-rank ones, whose rank is reached before the last
+row, and ones made of many repeated and scaled copies of a few rows.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from starfactor import simplex
+from starfactor.solver import _reduce_rows
+
+
+def reference_reduce_rows(d_rows: list[list[int]]) -> tuple[list[list[int]], list[int], list[int]]:
+    """Fraction-free row basis of the row space of D.
+
+    Returns (rows, pivots, used): each row is a primitive integer row,
+    positive at its own pivot column and zero at the other rows' pivot
+    columns, and used[j] is the index of the D row that entered the basis
+    as row j.  Dividing each row by its pivot entry gives the unique
+    reduced basis of the row space with identity on the pivot columns.
+    """
+    rows: list[list[int]] = []
+    pivots: list[int] = []
+    used: list[int] = []
+    for i, raw in enumerate(d_rows):
+        row = list(raw)
+        for brow, p in zip(rows, pivots):
+            if row[p]:
+                row = simplex.eliminate(row, brow, p)
+        pivot = next((k for k, x in enumerate(row) if x), None)
+        if pivot is None:
+            continue
+        row = simplex.primitive(row, pivot)
+        # clear the new pivot column from the existing basis rows
+        for j, brow in enumerate(rows):
+            if brow[pivot]:
+                rows[j] = simplex.eliminate(brow, row, pivot)
+        rows.append(row)
+        pivots.append(pivot)
+        used.append(i)
+    return rows, pivots, used
+
+
+@st.composite
+def matrices(draw) -> list[list[int]]:
+    width = draw(st.integers(min_value=0, max_value=8))
+    row = st.lists(st.integers(min_value=-3, max_value=3), min_size=width, max_size=width)
+    kind = draw(st.sampled_from(["random", "full_rank", "repeated"]))
+    if kind == "random":
+        return draw(st.lists(row, max_size=20))
+    base = draw(st.lists(row, min_size=1, max_size=4))
+    if kind == "full_rank":
+        # scaled unit rows guarantee rank = width; more rows follow them
+        base += [[draw(st.sampled_from([-2, -1, 1, 3])) * (k == j) for k in range(width)] for j in range(width)]
+    copies = []
+    for _ in range(draw(st.integers(min_value=0, max_value=25))):
+        a, b = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+        s, t = draw(st.integers(min_value=-2, max_value=2)), draw(st.integers(min_value=-1, max_value=1))
+        copies.append([s * x + t * y for x, y in zip(a, b)])
+    return draw(st.permutations(base + copies))
+
+
+@given(matrices())
+@settings(max_examples=500, deadline=None)
+def test_same_basis_as_reference(d_rows):
+    assert _reduce_rows(d_rows) == reference_reduce_rows(d_rows)
+
+
+def test_stops_at_full_rank():
+    # the third row would change nothing: rows 0 and 1 already span Z^2
+    d_rows = [[1, 0], [1, 1], [5, 7]]
+    assert _reduce_rows(d_rows) == ([[1, 0], [0, 1]], [0, 1], [0, 1]) == reference_reduce_rows(d_rows)
