@@ -8,6 +8,11 @@ degree >= 3 in the original graph, nonadjacent when there are two), a
 star K_{1,m} (center of original degree m when m >= 2), or an isolated
 vertex.  Members get a constructed witness weighting; graphs of girth
 three or four fall back to the brute-force oracle.
+
+``classify`` reads everything off the input graph's adjacency, in its
+own vertex ids: the components, the leaves and stems (once per call),
+the girth of each component with a cycle, and the core components.  It
+builds a subgraph only for a component that goes to the oracle.
 """
 
 from __future__ import annotations
@@ -20,11 +25,12 @@ from .factors import DEFAULT_CAP, CapExceeded
 from .graph import (
     Girth,
     Graph,
-    VertexClass,
     classify_vertices,
     connected_components,
     girth,
+    induced_components,
     induced_delete,
+    shortest_cycle,
 )
 from .solver import (
     Refutation,
@@ -34,6 +40,8 @@ from .solver import (
     omega_oracle,
     witness_json,
 )
+
+ONE, TWO = Fraction(1), Fraction(2)
 
 
 class Route(enum.Enum):
@@ -116,21 +124,16 @@ def remove_leaves_and_stems(g: Graph) -> tuple[Graph, dict[int, int]]:
     return core, {new: old for old, new in old_to_new.items()}
 
 
-def _core_components(g: Graph) -> list[frozenset[int]]:
-    """Components of g minus its leaves and stems, in original vertex ids."""
-    core, core_to_orig = remove_leaves_and_stems(g)
-    return [
-        frozenset(core_to_orig[v] for v in comp) for comp in connected_components(core)
-    ]
-
-
-def _core_component_kind(g: Graph, comp: frozenset[int]) -> CoreComponentKind:
-    verts = tuple(sorted(comp))
+def _core_component_kind(
+    g: Graph, verts: tuple[int, ...], outer: frozenset[int]
+) -> CoreComponentKind:
+    """Shape of one core component; ``outer`` holds the leaves and stems."""
     if len(verts) == 1:
         return IsolatedVertexCore(vertex=verts[0])
-    # comp is a component of an induced subgraph, so a vertex's core
-    # degree counts its neighbors in comp
-    degs = {v: sum(1 for u in g.adjacency[v] if u in comp) for v in verts}
+    # verts is a whole component of g minus outer, so a vertex's core
+    # degree counts its neighbors outside outer
+    adjacency = g.adjacency
+    degs = {v: sum(1 for u in adjacency[v] if u not in outer) for v in verts}
     if sum(degs.values()) == 2 * (len(verts) - 1):
         # a tree with a vertex adjacent to all the others is a star
         center = next((v for v in verts if degs[v] == len(verts) - 1), None)
@@ -138,27 +141,21 @@ def _core_component_kind(g: Graph, comp: frozenset[int]) -> CoreComponentKind:
             return StarCore(
                 center=center,
                 leaves=tuple(v for v in verts if v != center),
-                center_degree=g.degree(center),
+                center_degree=len(adjacency[center]),
             )
     if len(verts) == 5 and all(degs[v] == 2 for v in verts):
-        high = tuple(v for v in verts if g.degree(v) >= 3)
+        high = tuple(v for v in verts if len(adjacency[v]) >= 3)
         return FiveCycleCore(vertices=verts, high_degree=high)
     return OtherCore(vertices=verts, reason="neither a star, a 5-cycle, nor a vertex")
 
 
 def _core_kind_ok(kind: CoreComponentKind, g: Graph) -> bool:
-    if isinstance(kind, IsolatedVertexCore):
-        return True
     if isinstance(kind, StarCore):
         return kind.m == 1 or kind.center_degree == kind.m
     if isinstance(kind, FiveCycleCore):
-        if len(kind.high_degree) > 2:
-            return False
-        if len(kind.high_degree) == 2:
-            u, v = kind.high_degree
-            return not g.has_edge(u, v)
-        return True
-    return False
+        high = kind.high_degree
+        return len(high) < 2 or (len(high) == 2 and not g.has_edge(*high))
+    return isinstance(kind, IsolatedVertexCore)
 
 
 def construct_weighting(g: Graph, core_k11_pairs: list[tuple[int, int]]) -> Weighting:
@@ -168,83 +165,49 @@ def construct_weighting(g: Graph, core_k11_pairs: list[tuple[int, int]]) -> Weig
     gets 2 (the a+b rule with a = b = 1: a star-factor covers that pair
     either by the pair's own edge or by one stem edge at each endpoint).
     """
-    weights = [Fraction(1)] * g.m
+    weights = [ONE] * g.m
     for u, v in core_k11_pairs:
-        weights[g.edge_index[(min(u, v), max(u, v))]] = Fraction(2)
+        weights[g.edge_index[(min(u, v), max(u, v))]] = TWO
     return Weighting(tuple(weights))
 
 
+_CASE_TAGS = {
+    FiveCycleCore: CaseTag.CASE_4A,
+    StarCore: CaseTag.CASE_4B,
+    IsolatedVertexCore: CaseTag.CASE_4C,
+}
+
+
 def _structural_report(
-    g: Graph,
-    verts: tuple[int, ...],
-    vc: VertexClass,
-    cores: list[frozenset[int]],
-) -> tuple[ComponentReport, list[tuple[int, int]]]:
+    g: Graph, verts: tuple[int, ...], leaves: frozenset[int], outer: frozenset[int]
+) -> ComponentReport:
     """Decide one connected component of g of girth >= 5.
 
-    ``vc`` holds the leaves and stems of g and ``cores`` the components of
-    its core that lie in ``verts``; all of them are local to the component,
-    because a vertex has the same degree in g as in its component.
-    Returns the report and the K_{1,1} core pairs whose edges weigh 2.
+    ``leaves`` holds the leaves of g and ``outer`` its leaves and stems;
+    both are local to the component, because a vertex has the same
+    degree in g as in its component.
     """
 
     def report(verdict: Verdict, tag: CaseTag, kinds=()) -> ComponentReport:
-        return ComponentReport(
-            vertices=verts,
-            verdict=verdict,
-            route=Route.STRUCTURAL_GIRTH5,
-            tag=tag,
-            core_kinds=tuple(kinds),
-        )
+        return ComponentReport(verts, verdict, Route.STRUCTURAL_GIRTH5, tag, tuple(kinds))
 
-    if not any(v in vc.leaves for v in verts):
+    if leaves.isdisjoint(verts):
         # minimum degree >= 2: members are exactly the 5-cycle and 7-cycle
         if len(verts) in (5, 7) and all(g.degree(v) == 2 for v in verts):
-            return report(Verdict.MEMBER, CaseTag.C5 if len(verts) == 5 else CaseTag.C7), []
-        return report(Verdict.NOT_MEMBER, CaseTag.NEG_DELTA2_GIRTH), []
+            return report(Verdict.MEMBER, CaseTag.C5 if len(verts) == 5 else CaseTag.C7)
+        return report(Verdict.NOT_MEMBER, CaseTag.NEG_DELTA2_GIRTH)
 
-    if all(v in vc.leaves or v in vc.stems for v in verts):
-        return report(Verdict.MEMBER, CaseTag.ALL_LEAF_OR_STEM), []
+    if outer.issuperset(verts):
+        return report(Verdict.MEMBER, CaseTag.ALL_LEAF_OR_STEM)
 
-    kinds = [_core_component_kind(g, comp) for comp in cores]
+    kinds = [
+        _core_component_kind(g, core, outer)
+        for core in induced_components(g, verts, outer)
+    ]
     if not all(_core_kind_ok(k, g) for k in kinds):
-        return report(Verdict.NOT_MEMBER, CaseTag.NEG_CORE_SHAPE, kinds), []
-    tags = set()
-    k11_pairs: list[tuple[int, int]] = []
-    for kind in kinds:
-        if isinstance(kind, FiveCycleCore):
-            tags.add(CaseTag.CASE_4A)
-        elif isinstance(kind, StarCore):
-            tags.add(CaseTag.CASE_4B)
-            if kind.m == 1:
-                k11_pairs.append((kind.center, kind.leaves[0]))
-        else:
-            tags.add(CaseTag.CASE_4C)
-    tag = tags.pop() if len(tags) == 1 else CaseTag.MIXED_4
-    return report(Verdict.MEMBER, tag, kinds), k11_pairs
-
-
-def _combine(
-    reports: list[ComponentReport],
-    gg: Girth,
-    witness: Weighting,
-    refutation: Refutation | None,
-) -> Classification:
-    """The graph is a member iff every component is; a non-member takes
-    the tag of its first failing component."""
-    route = (
-        Route.ORACLE_FALLBACK
-        if any(r.route is Route.ORACLE_FALLBACK for r in reports)
-        else Route.STRUCTURAL_GIRTH5
-    )
-    failing = [r for r in reports if r.verdict is Verdict.NOT_MEMBER]
-    if failing:
-        return Classification(
-            Verdict.NOT_MEMBER, route, failing[0].tag, gg, None, refutation, tuple(reports)
-        )
-    tags = {r.tag for r in reports}
-    case_tag = tags.pop() if len(tags) == 1 else CaseTag.MIXED_4 if tags else None
-    return Classification(Verdict.MEMBER, route, case_tag, gg, witness, None, tuple(reports))
+        return report(Verdict.NOT_MEMBER, CaseTag.NEG_CORE_SHAPE, kinds)
+    tags = {_CASE_TAGS[type(kind)] for kind in kinds}
+    return report(Verdict.MEMBER, tags.pop() if len(tags) == 1 else CaseTag.MIXED_4, kinds)
 
 
 def classify_connected_girth5(g: Graph) -> Classification:
@@ -252,7 +215,7 @@ def classify_connected_girth5(g: Graph) -> Classification:
 
     Precondition (contract error if violated): g is connected, has no
     isolated vertex, and girth(g) >= 5.  Callers route other graphs to
-    the oracle.
+    the oracle.  Such a graph is one structural component for classify.
     """
     gg = girth(g)
     if not gg >= 5:
@@ -261,82 +224,82 @@ def classify_connected_girth5(g: Graph) -> Classification:
         raise ValueError("graph has an isolated vertex")
     if len(connected_components(g)) != 1:
         raise ValueError("graph is not connected")
-    report, k11_pairs = _structural_report(
-        g, tuple(range(g.n)), classify_vertices(g), _core_components(g)
+    return classify(g)
+
+
+def _fallback_report(
+    g: Graph, verts: tuple[int, ...], cap: int, weights: list[Fraction]
+) -> tuple[ComponentReport, Refutation | None]:
+    """Decide one component of girth <= 4 with the oracle on its own
+    subgraph; a member's witness weights are written into ``weights``."""
+    adjacency = g.adjacency
+    pairs = [(u, v) for u in verts for v in adjacency[u] if v > u]
+    # renumbering in vertex order keeps the pairs sorted, so the
+    # subgraph's edge j is the graph's edge pairs[j]
+    local = {v: j for j, v in enumerate(verts)}
+    sub = Graph(len(verts), tuple((local[u], local[v]) for u, v in pairs))
+    result = omega_oracle(sub, cap=cap)
+    if result.verdict is Verdict.CAP_EXCEEDED:
+        raise CapExceeded(cap)
+    if result.witness is not None:
+        for pair, w in zip(pairs, result.witness.weighting.weights):
+            weights[g.edge_index[pair]] = w
+    report = ComponentReport(
+        vertices=verts,
+        verdict=result.verdict,
+        route=Route.ORACLE_FALLBACK,
+        tag=CaseTag.REFUTED if result.verdict is Verdict.NOT_MEMBER else None,
     )
-    return _combine([report], gg, construct_weighting(g, k11_pairs), None)
+    return report, result.refutation
 
 
 def classify(g: Graph, cap: int = DEFAULT_CAP) -> Classification:
-    """Component-wise classification of an arbitrary graph.
+    """Component-wise classification of an arbitrary graph, in one pass.
 
-    Girth >= 5 components take the structural path; others go to the
-    brute-force oracle.  The graph is a member iff every component is;
-    witnesses concatenate over components.  CapExceeded propagates from
-    the fallback.
+    A tree component has infinite girth; one with a cycle gets its girth
+    from a BFS over its vertices.  Girth >= 5 components take the
+    structural path, others go to the brute-force oracle on a subgraph
+    of their own.  The graph is a member iff every component is, with
+    the witness concatenated over them; a non-member takes the tag of
+    its first failing component.  CapExceeded propagates from the oracle.
     """
     if g.has_isolated_vertex():
-        return Classification(
-            verdict=Verdict.VACUOUS,
-            route=Route.STRUCTURAL_GIRTH5,
-            case_tag=None,
-            girth=girth(g),
-            witness=None,
-            refutation=None,
-        )
-    comps = connected_components(g)
-    comp_of = [0] * g.n
-    for c, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = c
-    comp_edges: list[list[int]] = [[] for _ in comps]
-    for i, (u, _) in enumerate(g.edges):
-        comp_edges[comp_of[u]].append(i)
-    comp_cores: list[list[frozenset[int]]] = [[] for _ in comps]
-    for core in _core_components(g):
-        comp_cores[comp_of[min(core)]].append(core)
+        return Classification(Verdict.VACUOUS, Route.STRUCTURAL_GIRTH5, None, girth(g), None, None)
+    adjacency = g.adjacency
     vc = classify_vertices(g)
-
+    outer = vc.leaves | vc.stems
+    weights = [ONE] * g.m
     reports: list[ComponentReport] = []
-    k11_pairs: list[tuple[int, int]] = []
-    fallback_weights: dict[int, Fraction] = {}
     refutation: Refutation | None = None
     finite_girths: list[int] = []
-    for comp, edges, cores in zip(comps, comp_edges, comp_cores):
-        verts = tuple(sorted(comp))
-        # renumbering in vertex order keeps the edges sorted, so the
-        # subgraph's edge j is the graph's edge edges[j]
-        local = {v: j for j, v in enumerate(verts)}
-        sub = Graph(
-            len(verts), tuple((local[g.edges[i][0]], local[g.edges[i][1]]) for i in edges)
-        )
-        gg = girth(sub)
-        if not gg.is_infinite:
-            finite_girths.append(gg.value)
-        if gg >= 5:
-            report, pairs = _structural_report(g, verts, vc, cores)
-            k11_pairs.extend(pairs)
+    for verts in induced_components(g):
+        cycle = None
+        if sum(len(adjacency[v]) for v in verts) != 2 * (len(verts) - 1):
+            cycle = shortest_cycle(g, verts)
+            finite_girths.append(cycle)
+        if cycle is None or cycle >= 5:
+            report = _structural_report(g, verts, vc.leaves, outer)
         else:
-            result = omega_oracle(sub, cap=cap)
-            if result.verdict is Verdict.CAP_EXCEEDED:
-                raise CapExceeded(cap)
-            report = ComponentReport(
-                vertices=verts,
-                verdict=result.verdict,
-                route=Route.ORACLE_FALLBACK,
-                tag=CaseTag.REFUTED if result.verdict is Verdict.NOT_MEMBER else None,
-            )
-            if result.witness is not None:
-                fallback_weights.update(zip(edges, result.witness.weighting.weights))
-            elif refutation is None:
-                refutation = result.refutation
+            report, refuted = _fallback_report(g, verts, cap, weights)
+            if refutation is None:
+                refutation = refuted
         reports.append(report)
-    structural = construct_weighting(g, k11_pairs).weights
-    witness = Weighting(
-        tuple(fallback_weights.get(i, w) for i, w in enumerate(structural))
-    )
-    overall_girth = Girth.finite(min(finite_girths)) if finite_girths else Girth.infinite()
-    return _combine(reports, overall_girth, witness, refutation)
+    gg = Girth.finite(min(finite_girths)) if finite_girths else Girth.infinite()
+    fallback = any(r.route is Route.ORACLE_FALLBACK for r in reports)
+    route = Route.ORACLE_FALLBACK if fallback else Route.STRUCTURAL_GIRTH5
+    failing = next((r for r in reports if r.verdict is Verdict.NOT_MEMBER), None)
+    if failing is not None:
+        return Classification(
+            Verdict.NOT_MEMBER, route, failing.tag, gg, None, refutation, tuple(reports)
+        )
+    tags = {r.tag for r in reports}
+    case_tag = tags.pop() if len(tags) == 1 else CaseTag.MIXED_4 if tags else None
+    for kind in (kind for r in reports for kind in r.core_kinds):
+        if isinstance(kind, StarCore) and kind.m == 1:
+            # a K_{1,1} core's center is its smaller vertex
+            weights[g.edge_index[(kind.center, kind.leaves[0])]] = TWO
+    witness = Weighting(tuple(weights))
+    return Classification(Verdict.MEMBER, route, case_tag, gg, witness, None, tuple(reports))
 
 
 def _kind_str(kind: CoreComponentKind) -> str:

@@ -145,7 +145,11 @@ def run(
             return _run_census(args, cap, out)
         g = _load_graph(args.input, args.format, inp)
         if args.command == "girth":
-            print(girth(g), file=out)
+            gg = girth(g)
+            if args.output == "json":
+                _print_json({"girth": gg.value}, out)
+            else:
+                print(gg, file=out)
             return 0
         if args.command == "factors":
             return _run_factors(g, cap, args.output, out)
@@ -159,15 +163,30 @@ def run(
         return EXIT_USAGE
 
 
+def _print_json(payload: dict, out: TextIO) -> None:
+    json.dump(payload, out, indent=2)
+    out.write("\n")
+
+
+def _cap_exceeded(cap: int, output: str, out: TextIO) -> int:
+    if output == "json":
+        _print_json({"verdict": Verdict.CAP_EXCEEDED.value, "cap": cap}, out)
+    else:
+        print(f"CapExceeded (more than {cap} star-factors)", file=out)
+    return EXIT_CAP
+
+
 def _run_factors(g: Graph, cap: int, output: str, out: TextIO) -> int:
     try:
         factors = enumerate_star_factors(g, cap=cap)
     except VacuousGraph:
-        print("Vacuous (isolated vertex: no star-factors)", file=out)
+        if output == "json":
+            _print_json({"verdict": Verdict.VACUOUS.value}, out)
+        else:
+            print("Vacuous (isolated vertex: no star-factors)", file=out)
         return EXIT_VACUOUS
     except CapExceeded:
-        print(f"CapExceeded (more than {cap} star-factors)", file=out)
-        return EXIT_CAP
+        return _cap_exceeded(cap, output, out)
     if output == "json":
         payload = {
             "count": len(factors),
@@ -182,8 +201,7 @@ def _run_factors(g: Graph, cap: int, output: str, out: TextIO) -> int:
                 for f in factors
             ],
         }
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        _print_json(payload, out)
     else:
         plural = "" if len(factors) == 1 else "s"
         print(f"{len(factors)} star-factor{plural}", file=out)
@@ -207,8 +225,7 @@ def _run_oracle(g: Graph, cap: int, output: str, out: TextIO) -> int:
             payload["witness"] = witness_json(g, weighting)
         if result.refutation is not None:
             payload["refutation"] = certificate_json(result.refutation)
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        _print_json(payload, out)
     else:
         print(result.verdict.value, file=out)
         if weighting is not None:
@@ -220,16 +237,14 @@ def _run_classify(g: Graph, cap: int, output: str, out: TextIO, witness_only: bo
     try:
         cls = classify(g, cap=cap)
     except CapExceeded:
-        print(f"CapExceeded (more than {cap} star-factors)", file=out)
-        return EXIT_CAP
+        return _cap_exceeded(cap, output, out)
     if output == "json":
         if witness_only:
             witness = witness_json(g, cls.witness) if cls.witness is not None else None
             payload = {"verdict": cls.verdict.value, "witness": witness}
         else:
             payload = classification_to_json(g, cls)
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        _print_json(payload, out)
     elif witness_only:
         if cls.witness is None:
             print(cls.verdict.value, file=out)
@@ -245,6 +260,8 @@ def _run_classify(g: Graph, cap: int, output: str, out: TextIO, witness_only: bo
 
 
 def _run_census(args: argparse.Namespace, cap: int, out: TextIO) -> int:
+    if args.workers < 0:
+        raise CliError(f"--workers must be >= 0, got {args.workers}")
     ns = _parse_range(args.nrange) if args.nrange else []
     lines: list[str] = []
     if args.graph6_file:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 
 class GraphError(Exception):
@@ -150,11 +150,12 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        # the edges are sorted, so every neighbor list comes out sorted
         neighbors: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             neighbors[u].append(v)
             neighbors[v].append(u)
-        return tuple(tuple(sorted(ns)) for ns in neighbors)
+        return tuple(map(tuple, neighbors))
 
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
@@ -167,7 +168,7 @@ class Graph:
         return (min(u, v), max(u, v)) in self.edge_index
 
     def has_isolated_vertex(self) -> bool:
-        return any(len(ns) == 0 for ns in self.adjacency)
+        return not all(self.adjacency)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -285,61 +286,78 @@ def to_graph6(g: Graph) -> str:
 
 
 def girth(g: Graph) -> Girth:
-    """Shortest cycle length via BFS from every vertex; Infinite for forests."""
+    """Shortest cycle length; Infinite for forests."""
     if g.m - g.n + len(connected_components(g)) == 0:
         # cycle rank zero: a forest, found in linear time
         return Girth.infinite()
-    best: int | None = None
+    best = shortest_cycle(g, range(g.n))
+    return Girth.infinite() if best is None else Girth.finite(best)
+
+
+def shortest_cycle(g: Graph, vertices: Iterable[int]) -> int | None:
+    """Shortest cycle found by a BFS on g's adjacency from each of
+    ``vertices``: the girth of the components they fill (None for a
+    forest), with no subgraph built for them."""
     adjacency = g.adjacency
-    for root in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[root] = 0
+    best: int | None = None
+    for root in vertices:
+        dist = {root: 0}
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            if best is not None and 2 * dist[u] >= best:
+            du = dist[u]
+            if best is not None and 2 * du >= best:
                 continue
             for v in adjacency[u]:
-                if dist[v] == -1:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
+                dv = dist.get(v)
+                if dv is None:
+                    dist[v] = du + 1
                     queue.append(v)
-                elif v != parent[u]:
-                    cycle = dist[u] + dist[v] + 1
-                    if best is None or cycle < best:
-                        best = cycle
-    return Girth.infinite() if best is None else Girth.finite(best)
+                elif dv >= du and (best is None or du + dv + 1 < best):
+                    # an edge back to the previous level (the BFS parent's
+                    # or a cross edge) is counted from its other end
+                    best = du + dv + 1
+    return best
 
 
 def classify_vertices(g: Graph) -> VertexClass:
     """Leaves and stems of g (see VertexClass for the K_{1,1} convention)."""
-    leaves = frozenset(v for v in range(g.n) if g.degree(v) == 1)
-    stems = frozenset(
-        v for v in range(g.n) if any(u in leaves for u in g.adjacency[v])
+    adjacency = g.adjacency
+    leaves = [v for v, ns in enumerate(adjacency) if len(ns) == 1]
+    return VertexClass(
+        leaves=frozenset(leaves), stems=frozenset(adjacency[v][0] for v in leaves)
     )
-    return VertexClass(leaves=leaves, stems=stems)
+
+
+def induced_components(
+    g: Graph, starts: Iterable[int] | None = None, excluded: Container[int] = ()
+) -> list[tuple[int, ...]]:
+    """Components of g minus ``excluded`` that meet ``starts`` (default V),
+    as sorted tuples of g's vertex ids, in the order in which ``starts``
+    first meets them (by smallest vertex when ``starts`` increases)."""
+    adjacency = g.adjacency
+    seen = set()
+    components = []
+    for start in range(g.n) if starts is None else starts:
+        if start in seen or start in excluded:
+            continue
+        seen.add(start)
+        stack = [start]
+        comp = [start]
+        while stack:
+            for v in adjacency[stack.pop()]:
+                if v not in seen and v not in excluded:
+                    seen.add(v)
+                    comp.append(v)
+                    stack.append(v)
+        comp.sort()
+        components.append(tuple(comp))
+    return components
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Vertex sets of the connected components, ordered by smallest vertex."""
-    seen = [False] * g.n
-    components = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = deque([start])
-        comp = [start]
-        while queue:
-            u = queue.popleft()
-            for v in g.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        components.append(frozenset(comp))
-    return components
+    return [frozenset(comp) for comp in induced_components(g)]
 
 
 def induced_delete(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:

@@ -48,14 +48,15 @@ class Weighting:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if any(w <= ZERO for w in self.weights):
+        # a Fraction's denominator is positive: its sign is its numerator's
+        if any(w.numerator <= 0 for w in self.weights):
             raise ValueError("all edge weights must be strictly positive")
 
     @property
     def integral(self) -> tuple[int, ...]:
         """The same weighting scaled by the LCM of denominators to integers."""
-        scale = math.lcm(*(w.denominator for w in self.weights)) if self.weights else 1
-        return tuple(int(w * scale) for w in self.weights)
+        scale = math.lcm(*(w.denominator for w in self.weights))
+        return tuple(w.numerator * (scale // w.denominator) for w in self.weights)
 
     @classmethod
     def constant(cls, m: int, value: Fraction | int = 1) -> "Weighting":

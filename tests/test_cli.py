@@ -127,6 +127,12 @@ class TestGirthAndWitness:
         code, out, _ = invoke(["girth", "-"], stdin_text=format_edge_list(path(3)))
         assert out.strip() == "Infinite"
 
+    def test_girth_json(self, c5_file):
+        code, out, _ = invoke(["girth", c5_file, "--output", "json"])
+        assert code == 0 and json.loads(out) == {"girth": 5}
+        code, out, _ = invoke(["girth", "-", "--output", "json"], stdin_text=format_edge_list(path(3)))
+        assert code == 0 and json.loads(out) == {"girth": None}
+
     def test_witness_prints_edge_weight_triples(self):
         code, out, _ = invoke(["witness", "-"], stdin_text=format_edge_list(path(6)))
         assert code == EXIT_MEMBER
@@ -148,6 +154,31 @@ class TestGirthAndWitness:
         code, out, _ = invoke(["witness", c6_g6_file, "--output", "json"])
         assert code == EXIT_NOT_MEMBER
         assert json.loads(out) == {"verdict": "NotMember", "witness": None}
+
+
+class TestCapAndVacuousJson:
+    """Cap and vacuous outcomes print a JSON verdict under --output json and
+    the same text as before without it."""
+
+    DIAMOND = format_edge_list(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]))
+
+    @pytest.mark.parametrize("command", ["classify", "witness", "factors"])
+    def test_cap_exceeded(self, command):
+        code, out, _ = invoke([command, "-", "--cap", "1", "--output", "json"], self.DIAMOND)
+        assert code == EXIT_CAP
+        assert json.loads(out) == {"verdict": "CapExceeded", "cap": 1}
+        code, out, _ = invoke([command, "-", "--cap", "1"], self.DIAMOND)
+        assert code == EXIT_CAP
+        assert out == "CapExceeded (more than 1 star-factors)\n"
+
+    def test_factors_vacuous(self):
+        p3_plus_isolated = format_edge_list(Graph.from_edges(4, [(0, 1), (1, 2)]))
+        code, out, _ = invoke(["factors", "-", "--output", "json"], p3_plus_isolated)
+        assert code == EXIT_VACUOUS
+        assert json.loads(out) == {"verdict": "Vacuous"}
+        code, out, _ = invoke(["factors", "-"], p3_plus_isolated)
+        assert code == EXIT_VACUOUS
+        assert out == "Vacuous (isolated vertex: no star-factors)\n"
 
 
 class TestCensusCommand:
@@ -182,6 +213,12 @@ class TestCensusCommand:
         code, _, err = invoke(["census"])
         assert code == EXIT_USAGE
         assert "error:" in err
+
+    def test_negative_workers_rejected(self):
+        code, out, err = invoke(["census", "-n", "1..3", "--workers", "-2"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and "--workers" in err
 
 
 class TestErrorsAndConfig:

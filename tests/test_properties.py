@@ -10,6 +10,7 @@ from starfactor.factors import (
     VacuousGraph,
     edge_count_spectrum,
     enumerate_star_factors,
+    incidence_vectors,
 )
 from starfactor.graph import (
     Graph,
@@ -20,7 +21,7 @@ from starfactor.graph import (
     parse_graph6,
     to_graph6,
 )
-from starfactor.solver import OracleVerdict, omega_oracle
+from starfactor.solver import OracleVerdict, Witness, omega_oracle, verify_outcome
 
 from conftest import relabel
 
@@ -51,6 +52,40 @@ def graph_with_permutation(draw, max_n=7):
     g = draw(graphs(max_n=max_n))
     perm = draw(permutations_of(g.n))
     return g, perm
+
+
+# component kinds: most vertices, and most chords added to a random tree
+COMPONENT_KINDS = {
+    "cycle": (9, 0), "dense": (5, 6), "path": (9, 0), "sparse": (9, 2), "tree": (9, 0)
+}
+
+
+@st.composite
+def disconnected_graphs(draw, max_n=9):
+    """Disjoint unions of paths, cycles, random trees, trees with a few
+    chords, dense graphs on at most five vertices and sometimes an
+    isolated vertex, relabeled by a random permutation."""
+    edges: list[tuple[int, int]] = []
+    n = draw(st.integers(0, 3)) // 3  # an isolated vertex 0 first, or none
+    while n < max_n - 1:
+        kind = draw(st.sampled_from(sorted(COMPONENT_KINDS)))
+        most, chords = COMPONENT_KINDS[kind]
+        k = draw(st.integers(2, min(most, max_n - n)))
+        if kind in ("path", "cycle"):
+            part = [(n + i, n + i + 1) for i in range(k - 1)]
+            part += [(n, n + k - 1)] if kind == "cycle" and k > 2 else []
+        else:
+            part = [(n + draw(st.integers(0, i - 1)), n + i) for i in range(1, k)]
+            pairs = [(n + u, n + v) for v in range(k) for u in range(v)]
+            rest = [pair for pair in pairs if pair not in part]
+            if rest and chords:
+                part += draw(st.lists(st.sampled_from(rest), max_size=chords, unique=True))
+        edges += part
+        n += k
+        if draw(st.booleans()):
+            break
+    perm = draw(permutations_of(n))
+    return relabel(Graph.from_edges(n, edges), perm)
 
 
 class TestGraphProperties:
@@ -146,3 +181,23 @@ class TestVerdictProperties:
             OracleVerdict.VACUOUS: Verdict.VACUOUS,
         }
         assert cls is mapping[oracle]
+
+
+class TestClassifierProperties:
+    @given(disconnected_graphs())
+    @settings(max_examples=500, deadline=None)
+    def test_classification_matches_oracle_and_components(self, g):
+        cls = classify(g)
+        assert cls.girth == girth(g)
+        oracle = omega_oracle(g)
+        assert cls.verdict is oracle.verdict
+        if cls.verdict is Verdict.VACUOUS:
+            return
+        reported = [r.vertices for r in cls.per_component]
+        assert all(list(verts) == sorted(verts) for verts in reported)
+        assert [frozenset(verts) for verts in reported] == connected_components(g)
+        if cls.verdict is Verdict.MEMBER:
+            vectors = incidence_vectors(enumerate_star_factors(g), g.m)
+            weights = cls.witness.weights
+            common = sum(w for w, bit in zip(weights, vectors[0]) if bit)
+            assert verify_outcome(vectors, Witness(cls.witness, common))
