@@ -10,13 +10,13 @@ classifier also builds the witness weighting explicitly: weight 1
 everywhere, weight 2 on each core single-edge component.
 """
 
-from starfactor import classify, omega_oracle, remove_leaves_and_stems
+from starfactor import classify, classify_vertices, omega_oracle
 from starfactor.graph import Graph
 
 
 def show(name, g):
-    core, core_to_orig = remove_leaves_and_stems(g)
-    core_orig = sorted(core_to_orig[v] for v in range(core.n))
+    vc = classify_vertices(g)
+    core_orig = sorted(set(range(g.n)) - vc.leaves - vc.stems)
     cls = classify(g)
     oracle = omega_oracle(g)
     print(f"--- {name} ---")

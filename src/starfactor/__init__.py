@@ -15,9 +15,7 @@ from .graph import (
     VertexClass,
     classify_vertices,
     connected_components,
-    delete_edges,
     girth,
-    induced_delete,
     parse_edge_list,
     parse_graph6,
     to_graph6,
@@ -32,7 +30,6 @@ from .factors import (
 )
 from .solver import (
     OracleResult,
-    OracleVerdict,
     Refutation,
     Verdict,
     Weighting,
@@ -48,8 +45,6 @@ from .classifier import (
     Route,
     classify,
     classify_connected_girth5,
-    construct_weighting,
-    remove_leaves_and_stems,
 )
 from .census import (
     CensusRow,
@@ -67,9 +62,7 @@ __all__ = [
     "VertexClass",
     "classify_vertices",
     "connected_components",
-    "delete_edges",
     "girth",
-    "induced_delete",
     "parse_edge_list",
     "parse_graph6",
     "to_graph6",
@@ -80,7 +73,6 @@ __all__ = [
     "enumerate_star_factors",
     "incidence_vectors",
     "OracleResult",
-    "OracleVerdict",
     "Refutation",
     "Weighting",
     "Witness",
@@ -94,8 +86,6 @@ __all__ = [
     "Verdict",
     "classify",
     "classify_connected_girth5",
-    "construct_weighting",
-    "remove_leaves_and_stems",
     "CensusRow",
     "cross_validate",
     "generate_connected",

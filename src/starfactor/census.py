@@ -10,24 +10,17 @@ alone and only counted.
 
 from __future__ import annotations
 
-import itertools
 import json
 import multiprocessing
+import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from . import __version__
 from .classifier import classify
-from .factors import (
-    DEFAULT_CAP,
-    CapExceeded,
-    VacuousGraph,
-    edge_count_spectrum,
-    enumerate_star_factors,
-    incidence_vectors,
-)
+from .factors import DEFAULT_CAP
 from .graph import Girth, Graph, girth, parse_graph6, to_graph6
-from .solver import Verdict, Witness, decide_uniform_weighting
+from .solver import Verdict, omega_oracle
 
 MAX_BUILTIN_N = 7
 
@@ -143,23 +136,6 @@ def generate_connected_girth5(n: int) -> Iterator[Graph]:
         yield _graph_from_mask(n, pairs, mask)
 
 
-def canonical_form(g: Graph) -> bytes:
-    """Minimum adjacency bitstring over all vertex permutations (n <= 8)."""
-    if g.n > 8:
-        raise ValueError("brute-force canonical form supports n <= 8")
-    best: bytes | None = None
-    adjacency = [set(ns) for ns in g.adjacency]
-    for perm in itertools.permutations(range(g.n)):
-        bits = bytearray()
-        for v in range(1, g.n):
-            for u in range(v):
-                bits.append(1 if perm[v] in adjacency[perm[u]] else 0)
-        b = bytes(bits)
-        if best is None or b < best:
-            best = b
-    return best if best is not None else b""
-
-
 def _girth_class(gg: Girth) -> str:
     if gg.is_infinite:
         return "inf"
@@ -182,17 +158,13 @@ class _Record:
 def evaluate_graph(g: Graph, cap: int = DEFAULT_CAP) -> _Record:
     """Oracle (and, for girth >= 5, classifier) run on a single graph."""
     gg = girth(g)
-    u_member = False
-    verdict = Verdict.VACUOUS
-    try:
-        factors = enumerate_star_factors(g, cap=cap)
-        u_member = len(edge_count_spectrum(factors)) == 1
-        outcome = decide_uniform_weighting(incidence_vectors(factors, g.m))
-        verdict = Verdict.MEMBER if isinstance(outcome, Witness) else Verdict.NOT_MEMBER
-    except VacuousGraph:
-        pass
-    except CapExceeded:
-        verdict = Verdict.CAP_EXCEEDED
+    result = omega_oracle(g, cap=cap)
+    verdict = result.verdict
+    # every factor has the same edge count iff w = 1 is uniform, and then
+    # t <= w_e <= 1 makes w = 1 the LP's unique optimum: the witness is all ones
+    u_member = result.witness is not None and all(
+        w == 1 for w in result.witness.weighting.weights
+    )
     disagreement = None
     if gg >= 5 and verdict in (Verdict.MEMBER, Verdict.NOT_MEMBER):
         cls = classify(g, cap=cap)
@@ -261,6 +233,9 @@ def cross_validate(
                 yield ("g6", line)
 
     _init_worker(cap)
+    # the results are the same for any worker count, so more workers than
+    # CPUs would only cost processes
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         pool = multiprocessing.Pool(workers, initializer=_init_worker, initargs=(cap,))
         try:

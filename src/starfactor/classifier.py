@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .factors import DEFAULT_CAP, CapExceeded
+from .factors import DEFAULT_CAP
 from .graph import (
     Girth,
     Graph,
@@ -29,7 +29,6 @@ from .graph import (
     connected_components,
     girth,
     induced_components,
-    induced_delete,
     shortest_cycle,
 )
 from .solver import (
@@ -117,13 +116,6 @@ class Classification:
     per_component: tuple[ComponentReport, ...] = ()
 
 
-def remove_leaves_and_stems(g: Graph) -> tuple[Graph, dict[int, int]]:
-    """Delete all leaves and stems; returns (core, core-vertex -> original)."""
-    vc = classify_vertices(g)
-    core, old_to_new = induced_delete(g, vc.leaves | vc.stems)
-    return core, {new: old for old, new in old_to_new.items()}
-
-
 def _core_component_kind(
     g: Graph, verts: tuple[int, ...], outer: frozenset[int]
 ) -> CoreComponentKind:
@@ -156,19 +148,6 @@ def _core_kind_ok(kind: CoreComponentKind, g: Graph) -> bool:
         high = kind.high_degree
         return len(high) < 2 or (len(high) == 2 and not g.has_edge(*high))
     return isinstance(kind, IsolatedVertexCore)
-
-
-def construct_weighting(g: Graph, core_k11_pairs: list[tuple[int, int]]) -> Weighting:
-    """Witness for a structural member.
-
-    Weight 1 everywhere; each edge that is itself a K_{1,1} core component
-    gets 2 (the a+b rule with a = b = 1: a star-factor covers that pair
-    either by the pair's own edge or by one stem edge at each endpoint).
-    """
-    weights = [ONE] * g.m
-    for u, v in core_k11_pairs:
-        weights[g.edge_index[(min(u, v), max(u, v))]] = TWO
-    return Weighting(tuple(weights))
 
 
 _CASE_TAGS = {
@@ -239,8 +218,6 @@ def _fallback_report(
     local = {v: j for j, v in enumerate(verts)}
     sub = Graph(len(verts), tuple((local[u], local[v]) for u, v in pairs))
     result = omega_oracle(sub, cap=cap)
-    if result.verdict is Verdict.CAP_EXCEEDED:
-        raise CapExceeded(cap)
     if result.witness is not None:
         for pair, w in zip(pairs, result.witness.weighting.weights):
             weights[g.edge_index[pair]] = w
@@ -261,7 +238,8 @@ def classify(g: Graph, cap: int = DEFAULT_CAP) -> Classification:
     structural path, others go to the brute-force oracle on a subgraph
     of their own.  The graph is a member iff every component is, with
     the witness concatenated over them; a non-member takes the tag of
-    its first failing component.  CapExceeded propagates from the oracle.
+    its first failing component.  A component on which the oracle
+    exceeds the factor cap makes the verdict CapExceeded.
     """
     if g.has_isolated_vertex():
         return Classification(Verdict.VACUOUS, Route.STRUCTURAL_GIRTH5, None, girth(g), None, None)
@@ -281,6 +259,10 @@ def classify(g: Graph, cap: int = DEFAULT_CAP) -> Classification:
             report = _structural_report(g, verts, vc.leaves, outer)
         else:
             report, refuted = _fallback_report(g, verts, cap, weights)
+            if report.verdict is Verdict.CAP_EXCEEDED:
+                return Classification(
+                    Verdict.CAP_EXCEEDED, Route.ORACLE_FALLBACK, None, girth(g), None, None
+                )
             if refutation is None:
                 refutation = refuted
         reports.append(report)
@@ -296,7 +278,9 @@ def classify(g: Graph, cap: int = DEFAULT_CAP) -> Classification:
     case_tag = tags.pop() if len(tags) == 1 else CaseTag.MIXED_4 if tags else None
     for kind in (kind for r in reports for kind in r.core_kinds):
         if isinstance(kind, StarCore) and kind.m == 1:
-            # a K_{1,1} core's center is its smaller vertex
+            # a factor covers a K_{1,1} core edge either by that edge or by
+            # one stem edge at each end, so it weighs 2; its center is its
+            # smaller vertex
             weights[g.edge_index[(kind.center, kind.leaves[0])]] = TWO
     witness = Weighting(tuple(weights))
     return Classification(Verdict.MEMBER, route, case_tag, gg, witness, None, tuple(reports))

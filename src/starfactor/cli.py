@@ -234,9 +234,8 @@ def _run_oracle(g: Graph, cap: int, output: str, out: TextIO) -> int:
 
 
 def _run_classify(g: Graph, cap: int, output: str, out: TextIO, witness_only: bool) -> int:
-    try:
-        cls = classify(g, cap=cap)
-    except CapExceeded:
+    cls = classify(g, cap=cap)
+    if cls.verdict is Verdict.CAP_EXCEEDED:
         return _cap_exceeded(cap, output, out)
     if output == "json":
         if witness_only:

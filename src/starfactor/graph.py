@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Container, Iterable, Sequence
+from typing import Container, Iterable
 
 
 class GraphError(Exception):
@@ -120,7 +120,9 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        seen: set[tuple[int, int]] = set()
+        # one pass: each edge must be normalized, in range and strictly
+        # after the one before it, which rules out duplicates as well
+        previous = (-1, -1)
         for u, v in self.edges:
             if u == v:
                 raise LoopError(f"loop at vertex {u}")
@@ -128,21 +130,16 @@ class Graph:
                 raise VertexRangeError(f"edge ({u}, {v}) out of range 0..{self.n - 1}")
             if u > v:
                 raise GraphError(f"edge ({u}, {v}) not normalized (u < v required)")
-            if (u, v) in seen:
-                raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-        if list(self.edges) != sorted(self.edges):
-            raise GraphError("edge list must be sorted lexicographically")
+            if (u, v) <= previous:
+                if (u, v) == previous:
+                    raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
+                raise GraphError("edge list must be sorted lexicographically")
+            previous = (u, v)
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from unordered pairs, normalizing and sorting them."""
-        normalized = []
-        for u, v in pairs:
-            if u == v:
-                raise LoopError(f"loop at vertex {u}")
-            normalized.append((u, v) if u < v else (v, u))
-        return cls(n, tuple(sorted(normalized)))
+        return cls(n, tuple(sorted((u, v) if u < v else (v, u) for u, v in pairs)))
 
     @property
     def m(self) -> int:
@@ -177,11 +174,11 @@ def parse_edge_list(text: str) -> Graph:
     First non-comment line is "n m", followed by m lines "u v".  Lines
     starting with '#' and blank lines are ignored.
     """
-    lines = [
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.strip().startswith("#")
-    ]
+    lines = []
+    for line in text.splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            lines.append(line)
     if not lines:
         raise EdgeListParseError("empty input")
     header = lines[0].split()
@@ -196,25 +193,15 @@ def parse_edge_list(text: str) -> Graph:
     if len(lines) - 1 != m:
         raise EdgeCountError(f"header declares {m} edges but {len(lines) - 1} lines follow")
     pairs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     for line in lines[1:]:
         parts = line.split()
         if len(parts) != 2:
             raise EdgeListParseError(f"expected 'u v', got {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            pairs.append((int(parts[0]), int(parts[1])))
         except ValueError as exc:
             raise EdgeListParseError(f"non-integer edge line {line!r}") from exc
-        if u == v:
-            raise LoopError(f"loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise VertexRangeError(f"edge ({u}, {v}) out of range 0..{n - 1}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise DuplicateEdgeError(f"duplicate edge {key}")
-        seen.add(key)
-        pairs.append(key)
-    return Graph(n, tuple(sorted(pairs)))
+    return Graph.from_edges(n, pairs)
 
 
 def format_edge_list(g: Graph) -> str:
@@ -358,39 +345,3 @@ def induced_components(
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Vertex sets of the connected components, ordered by smallest vertex."""
     return [frozenset(comp) for comp in induced_components(g)]
-
-
-def induced_delete(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """The induced subgraph on V minus ``vertices``, with renumbered vertices.
-
-    Returns (subgraph, mapping) where mapping sends each kept original
-    vertex to its new index.
-    """
-    drop = set(vertices)
-    for v in drop:
-        if not (0 <= v < g.n):
-            raise VertexRangeError(f"unknown vertex {v}")
-    kept = [v for v in range(g.n) if v not in drop]
-    mapping = {v: i for i, v in enumerate(kept)}
-    pairs = [
-        (mapping[u], mapping[v])
-        for u, v in g.edges
-        if u not in drop and v not in drop
-    ]
-    return Graph(len(kept), tuple(sorted(pairs))), mapping
-
-
-def delete_edges(g: Graph, edge_idxs: Iterable[int]) -> Graph:
-    """Remove the given edge indices, keeping all vertices."""
-    drop = set(edge_idxs)
-    for i in drop:
-        if not (0 <= i < g.m):
-            raise GraphError(f"unknown edge index {i}")
-    pairs = [e for i, e in enumerate(g.edges) if i not in drop]
-    return Graph(g.n, tuple(pairs))
-
-
-def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on ``vertices`` (complement view of induced_delete)."""
-    keep = set(vertices)
-    return induced_delete(g, [v for v in range(g.n) if v not in keep])

@@ -111,9 +111,6 @@ class Verdict(enum.Enum):
     CAP_EXCEEDED = "CapExceeded"
 
 
-OracleVerdict = Verdict  # the oracle's earlier name for the same enum
-
-
 @dataclass(frozen=True)
 class OracleResult:
     verdict: Verdict

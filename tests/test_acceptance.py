@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from starfactor.census import cross_validate, generate_connected, generate_connected_girth5
-from starfactor.classifier import CaseTag, Verdict, classify
+from starfactor.classifier import CaseTag, classify
 from starfactor.factors import (
     VacuousGraph,
     edge_count_spectrum,
@@ -20,8 +20,8 @@ from starfactor.factors import (
 )
 from starfactor.graph import Graph, classify_vertices, girth, parse_graph6
 from starfactor.solver import (
-    OracleVerdict,
     Refutation,
+    Verdict,
     Witness,
     decide_uniform_weighting,
     omega_oracle,
@@ -64,7 +64,7 @@ def test_criterion_1_cycle_table():
     failures = []
     for n in range(5, 13):
         result = omega_oracle(cycle(n))
-        expected = OracleVerdict.MEMBER if n in (5, 7) else OracleVerdict.NOT_MEMBER
+        expected = Verdict.MEMBER if n in (5, 7) else Verdict.NOT_MEMBER
         if result.verdict is not expected:
             failures.append(f"C{n}: {result.verdict.value}")
         if n in (5, 7):
@@ -87,7 +87,7 @@ def test_criterion_2_min_degree_two_corollary():
             if g.n < 2 or min(g.degree(v) for v in range(g.n)) < 2:
                 continue
             checked += 1
-            member = omega_oracle(g).verdict is OracleVerdict.MEMBER
+            member = omega_oracle(g).verdict is Verdict.MEMBER
             if member != is_cycle_of_length(g):
                 exceptions.append(g.edges)
     for name in ("delta2_girth5_n8.g6", "delta2_girth5_n9.g6"):
@@ -95,12 +95,12 @@ def test_criterion_2_min_degree_two_corollary():
             g = parse_graph6(line)
             assert min(g.degree(v) for v in range(g.n)) >= 2 and girth(g) >= 5
             checked += 1
-            member = omega_oracle(g).verdict is OracleVerdict.MEMBER
+            member = omega_oracle(g).verdict is Verdict.MEMBER
             if member != is_cycle_of_length(g):
                 exceptions.append(line)
     p = petersen()
     checked += 1
-    if omega_oracle(p).verdict is not OracleVerdict.NOT_MEMBER:
+    if omega_oracle(p).verdict is not Verdict.NOT_MEMBER:
         exceptions.append("petersen-oracle")
     if classify(p).verdict is not Verdict.NOT_MEMBER:
         exceptions.append("petersen-classifier")
@@ -126,7 +126,7 @@ def girth5_sweep():
     members = 0
     for g in graphs():
         total += 1
-        oracle_member = omega_oracle(g).verdict is OracleVerdict.MEMBER
+        oracle_member = omega_oracle(g).verdict is Verdict.MEMBER
         cls = classify(g)
         if (cls.verdict is Verdict.MEMBER) != oracle_member:
             disagreements.append(g.edges)
@@ -171,7 +171,7 @@ def test_criterion_5_two_spectrum_member_fixture():
         for i, w in enumerate(cls.witness.weights)
     )
     ok = (
-        result.verdict is OracleVerdict.MEMBER
+        result.verdict is Verdict.MEMBER
         and 7 in spectrum
         and 10 in spectrum
         and cls.case_tag in (CaseTag.CASE_4B, CaseTag.MIXED_4)
@@ -182,7 +182,7 @@ def test_criterion_5_two_spectrum_member_fixture():
         5, ok, f"oracle={result.verdict.value}, spectrum={sorted(spectrum)}, "
         f"tag={cls.case_tag.value if cls.case_tag else None}, heavy-edge witness={weights_ok}"
     )
-    assert result.verdict is OracleVerdict.MEMBER
+    assert result.verdict is Verdict.MEMBER
     assert 7 in spectrum and 10 in spectrum
     assert cls.case_tag in (CaseTag.CASE_4B, CaseTag.MIXED_4)
     assert weights_ok
@@ -291,11 +291,11 @@ def test_criterion_7_path_family_and_trees():
     """Paths P2..P7 in, P8 out; corollary restatement on 1000 random trees."""
     failures = []
     for n in range(2, 8):
-        if omega_oracle(path(n)).verdict is not OracleVerdict.MEMBER:
+        if omega_oracle(path(n)).verdict is not Verdict.MEMBER:
             failures.append(f"P{n}-oracle")
         if classify(path(n)).verdict is not Verdict.MEMBER:
             failures.append(f"P{n}-classifier")
-    if omega_oracle(path(8)).verdict is not OracleVerdict.NOT_MEMBER:
+    if omega_oracle(path(8)).verdict is not Verdict.NOT_MEMBER:
         failures.append("P8-oracle")
     cls8 = classify(path(8))
     if cls8.verdict is not Verdict.NOT_MEMBER or cls8.case_tag is not CaseTag.NEG_CORE_SHAPE:
@@ -307,7 +307,7 @@ def test_criterion_7_path_family_and_trees():
         expected = tree_corollary_member(g)
         if (classify(g).verdict is Verdict.MEMBER) != expected:
             tree_mismatches += 1
-        if (omega_oracle(g).verdict is OracleVerdict.MEMBER) != expected:
+        if (omega_oracle(g).verdict is Verdict.MEMBER) != expected:
             tree_mismatches += 1
     ok = not failures and tree_mismatches == 0
     report_line(

@@ -8,7 +8,6 @@ import pytest
 from starfactor.census import (
     CensusResult,
     CensusRow,
-    canonical_form,
     cross_validate,
     evaluate_graph,
     generate_connected,
@@ -17,7 +16,7 @@ from starfactor.census import (
 )
 from starfactor.graph import Graph, girth, parse_graph6, to_graph6
 
-from conftest import DATA_DIR, cycle, path, petersen, relabel
+from conftest import DATA_DIR, cycle, path, petersen
 
 
 def brute_connected_count(n):
@@ -65,17 +64,6 @@ class TestGenerators:
             list(generate_connected(8))
         with pytest.raises(ValueError):
             list(generate_connected_girth5(9))
-
-
-class TestCanonicalForm:
-    def test_invariant_under_relabeling(self):
-        g = petersen()
-        assert canonical_form(relabel(cycle(5), [2, 0, 4, 1, 3])) == canonical_form(cycle(5))
-        with pytest.raises(ValueError):
-            canonical_form(g)  # n = 10 > 8
-
-    def test_distinguishes_nonisomorphic(self):
-        assert canonical_form(path(4)) != canonical_form(cycle(4))
 
 
 class TestEvaluate:
@@ -128,6 +116,30 @@ class TestCrossValidate:
         seq = cross_validate(ns=[5], girth_min=5)
         par = cross_validate(ns=[5], girth_min=5, workers=2)
         assert report(seq, fmt="json") == report(par, fmt="json")
+
+    def test_worker_count_clamped_to_cpu_count(self, monkeypatch):
+        # a stub pool that records its size and starts no process
+        sizes = []
+
+        class StubPool:
+            def __init__(self, processes, initializer=None, initargs=()):
+                sizes.append(processes)
+                initializer(*initargs)
+
+            def imap(self, func, iterable, chunksize=1):
+                return map(func, iterable)
+
+            def close(self):
+                pass
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr("starfactor.census.multiprocessing.Pool", StubPool)
+        monkeypatch.setattr("starfactor.census.os.cpu_count", lambda: 2)
+        clamped = cross_validate(ns=[4], workers=100_000)
+        assert sizes == [2]
+        assert clamped.rows == cross_validate(ns=[4], workers=1).rows
 
     def test_uniform_subset_of_members_on_every_row(self):
         result = cross_validate(ns=[4, 5])

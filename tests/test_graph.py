@@ -14,11 +14,8 @@ from starfactor.graph import (
     VertexRangeError,
     classify_vertices,
     connected_components,
-    delete_edges,
     format_edge_list,
     girth,
-    induced_delete,
-    induced_subgraph,
     parse_edge_list,
     parse_graph6,
     to_graph6,
@@ -189,26 +186,3 @@ class TestComponentsAndSubgraphs:
     def test_components_of_union(self):
         g = disjoint_union(cycle(3), path(2))
         assert connected_components(g) == [frozenset({0, 1, 2}), frozenset({3, 4})]
-
-    def test_induced_delete_renumbers(self):
-        g = path(4)  # 0-1-2-3
-        sub, mapping = induced_delete(g, [0])
-        assert sub == path(3)
-        assert mapping == {1: 0, 2: 1, 3: 2}
-
-    def test_induced_delete_unknown_vertex(self):
-        with pytest.raises(VertexRangeError):
-            induced_delete(path(3), [7])
-
-    def test_induced_subgraph_complements_delete(self):
-        g = cycle(5)
-        sub, mapping = induced_subgraph(g, [0, 1, 2])
-        assert sub == path(3)
-        assert mapping == {0: 0, 1: 1, 2: 2}
-
-    def test_delete_edges(self):
-        g = cycle(4)
-        h = delete_edges(g, [0])
-        assert h.n == 4 and h.m == 3
-        with pytest.raises(GraphError):
-            delete_edges(g, [9])

@@ -5,6 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starfactor.census import evaluate_graph
 from starfactor.classifier import Verdict, classify
 from starfactor.factors import (
     VacuousGraph,
@@ -16,12 +17,11 @@ from starfactor.graph import (
     Graph,
     classify_vertices,
     connected_components,
-    delete_edges,
     girth,
     parse_graph6,
     to_graph6,
 )
-from starfactor.solver import OracleVerdict, Witness, omega_oracle, verify_outcome
+from starfactor.solver import Witness, omega_oracle, verify_outcome
 
 from conftest import relabel
 
@@ -119,7 +119,7 @@ class TestGraphProperties:
     def test_deleting_an_edge_never_shrinks_girth(self, g):
         if g.m == 0:
             return
-        h = delete_edges(g, [0])
+        h = Graph(g.n, g.edges[1:])
         assert girth(h) >= (girth(g).value or 3)
 
 
@@ -168,19 +168,29 @@ class TestVerdictProperties:
         except VacuousGraph:
             return
         if len(edge_count_spectrum(factors)) == 1:
-            assert omega_oracle(g).verdict is OracleVerdict.MEMBER
+            assert omega_oracle(g).verdict is Verdict.MEMBER
 
     @given(graphs(max_n=6))
     @settings(max_examples=60, deadline=None)
     def test_classifier_agrees_with_oracle(self, g):
         oracle = omega_oracle(g).verdict
-        cls = classify(g).verdict
-        mapping = {
-            OracleVerdict.MEMBER: Verdict.MEMBER,
-            OracleVerdict.NOT_MEMBER: Verdict.NOT_MEMBER,
-            OracleVerdict.VACUOUS: Verdict.VACUOUS,
-        }
-        assert cls is mapping[oracle]
+        assert oracle is not Verdict.CAP_EXCEEDED
+        assert classify(g).verdict is oracle
+
+    @given(graphs(max_n=7, max_m=12))
+    @settings(max_examples=200, deadline=None)
+    def test_all_ones_witness_iff_uniform_edge_counts(self, g):
+        # the census counts a graph as uniform when the oracle's witness
+        # is all ones
+        try:
+            factors = enumerate_star_factors(g)
+        except VacuousGraph:
+            return
+        uniform = len(edge_count_spectrum(factors)) == 1
+        witness = omega_oracle(g).witness
+        all_ones = witness is not None and all(w == 1 for w in witness.weighting.weights)
+        assert all_ones == uniform
+        assert evaluate_graph(g).u_member == uniform
 
 
 class TestClassifierProperties:

@@ -7,8 +7,8 @@ import pytest
 from starfactor import simplex
 from starfactor.factors import enumerate_star_factors, incidence_vectors
 from starfactor.solver import (
-    OracleVerdict,
     Refutation,
+    Verdict,
     Weighting,
     Witness,
     decide_uniform_weighting,
@@ -166,16 +166,16 @@ class TestVerifier:
 
 class TestOracle:
     def test_verdict_values(self):
-        assert omega_oracle(cycle(5)).verdict is OracleVerdict.MEMBER
-        assert omega_oracle(cycle(6)).verdict is OracleVerdict.NOT_MEMBER
+        assert omega_oracle(cycle(5)).verdict is Verdict.MEMBER
+        assert omega_oracle(cycle(6)).verdict is Verdict.NOT_MEMBER
 
     def test_vacuous(self):
         from starfactor.graph import Graph
 
-        assert omega_oracle(Graph(1, ())).verdict is OracleVerdict.VACUOUS
+        assert omega_oracle(Graph(1, ())).verdict is Verdict.VACUOUS
 
     def test_cap(self):
-        assert omega_oracle(cycle(6), cap=2).verdict is OracleVerdict.CAP_EXCEEDED
+        assert omega_oracle(cycle(6), cap=2).verdict is Verdict.CAP_EXCEEDED
 
     def test_factor_count_reported(self):
         assert omega_oracle(cycle(5)).factor_count == 5
@@ -183,6 +183,6 @@ class TestOracle:
     def test_union_member_iff_both_members(self):
         # [DERIVED: factors of a union are products of per-part factors]
         both = disjoint_union(cycle(5), path(4))
-        assert omega_oracle(both).verdict is OracleVerdict.MEMBER
+        assert omega_oracle(both).verdict is Verdict.MEMBER
         mixed = disjoint_union(cycle(5), cycle(6))
-        assert omega_oracle(mixed).verdict is OracleVerdict.NOT_MEMBER
+        assert omega_oracle(mixed).verdict is Verdict.NOT_MEMBER
