@@ -10,6 +10,7 @@ alone and only counted.
 
 from __future__ import annotations
 
+import functools
 import json
 import multiprocessing
 import os
@@ -51,11 +52,12 @@ class CensusResult:
     disagreements: list[Disagreement] = field(default_factory=list)
 
 
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+@functools.cache
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
-def _mask_connected(n: int, pairs: list[tuple[int, int]], mask: int) -> bool:
+def _mask_connected(n: int, pairs: tuple[tuple[int, int], ...], mask: int) -> bool:
     if n <= 1:
         return True
     reach = [0] * n
@@ -75,18 +77,22 @@ def _mask_connected(n: int, pairs: list[tuple[int, int]], mask: int) -> bool:
     return seen == (1 << n) - 1
 
 
-def _graph_from_mask(n: int, pairs: list[tuple[int, int]], mask: int) -> Graph:
-    return Graph(n, tuple(p for i, p in enumerate(pairs) if mask >> i & 1))
+def _graph_from_mask(n: int, mask: int) -> Graph:
+    return Graph(n, tuple(p for i, p in enumerate(_pairs(n)) if mask >> i & 1))
+
+
+def _connected_masks(n: int) -> Iterator[int]:
+    """Edge masks of all connected labeled graphs on n vertices, in order."""
+    pairs = _pairs(n)
+    return (mask for mask in range(1 << len(pairs)) if _mask_connected(n, pairs, mask))
 
 
 def generate_connected(n: int) -> Iterator[Graph]:
     """Every connected labeled graph on n vertices, in edge-mask order."""
     if not (1 <= n <= MAX_BUILTIN_N):
         raise ValueError(f"built-in enumeration supports 1 <= n <= {MAX_BUILTIN_N}")
-    pairs = _pairs(n)
-    for mask in range(1 << len(pairs)):
-        if _mask_connected(n, pairs, mask):
-            yield _graph_from_mask(n, pairs, mask)
+    for mask in _connected_masks(n):
+        yield _graph_from_mask(n, mask)
 
 
 def _girth5_connected_masks(n: int) -> Iterator[int]:
@@ -131,13 +137,12 @@ def generate_connected_girth5(n: int) -> Iterator[Graph]:
     """Connected labeled graphs on n vertices with girth >= 5 (or infinite)."""
     if not (1 <= n <= 8):
         raise ValueError("girth-5 enumeration supports 1 <= n <= 8")
-    pairs = _pairs(n)
     for mask in _girth5_connected_masks(n):
-        yield _graph_from_mask(n, pairs, mask)
+        yield _graph_from_mask(n, mask)
 
 
 def _girth_class(gg: Girth) -> str:
-    if gg.is_infinite:
+    if gg.value is None:
         return "inf"
     if gg.value >= 8:
         return ">=8"
@@ -147,7 +152,6 @@ def _girth_class(gg: Girth) -> str:
 @dataclass(frozen=True)
 class _Record:
     n: int
-    girth: Girth
     girth_class: str
     omega_member: bool
     u_member: bool
@@ -155,9 +159,14 @@ class _Record:
     disagreement: Disagreement | None
 
 
-def evaluate_graph(g: Graph, cap: int = DEFAULT_CAP) -> _Record:
-    """Oracle (and, for girth >= 5, classifier) run on a single graph."""
+def evaluate_graph(
+    g: Graph, cap: int = DEFAULT_CAP, girth_min: int | None = None
+) -> _Record | None:
+    """Oracle (and, for girth >= 5, classifier) run on a single graph;
+    None, with nothing decided, for a graph of girth below ``girth_min``."""
     gg = girth(g)
+    if girth_min is not None and not gg.at_least(girth_min):
+        return None
     result = omega_oracle(g, cap=cap)
     verdict = result.verdict
     # every factor has the same edge count iff w = 1 is uniform, and then
@@ -166,7 +175,7 @@ def evaluate_graph(g: Graph, cap: int = DEFAULT_CAP) -> _Record:
         w == 1 for w in result.witness.weighting.weights
     )
     disagreement = None
-    if gg >= 5 and verdict in (Verdict.MEMBER, Verdict.NOT_MEMBER):
+    if gg.at_least(5) and verdict in (Verdict.MEMBER, Verdict.NOT_MEMBER):
         cls = classify(g, cap=cap)
         if (cls.verdict is Verdict.MEMBER) != (verdict is Verdict.MEMBER):
             disagreement = Disagreement(
@@ -176,7 +185,6 @@ def evaluate_graph(g: Graph, cap: int = DEFAULT_CAP) -> _Record:
             )
     return _Record(
         n=g.n,
-        girth=gg,
         girth_class=_girth_class(gg),
         omega_member=verdict is Verdict.MEMBER,
         u_member=u_member,
@@ -185,22 +193,13 @@ def evaluate_graph(g: Graph, cap: int = DEFAULT_CAP) -> _Record:
     )
 
 
-def _worker(args: tuple[str, int]) -> _Record:
-    kind, payload = args
-    if kind == "g6":
-        g = parse_graph6(payload)
+def _worker(item: tuple[int, int] | str, cap: int, girth_min: int | None) -> _Record | None:
+    """Decide one work item: an (n, edge mask) pair or a graph6 line."""
+    if isinstance(item, str):
+        g = parse_graph6(item)
     else:
-        n = int(kind)
-        g = _graph_from_mask(n, _pairs(n), payload)
-    return evaluate_graph(g, _worker_cap)
-
-
-_worker_cap = DEFAULT_CAP
-
-
-def _init_worker(cap: int) -> None:
-    global _worker_cap
-    _worker_cap = cap
+        g = _graph_from_mask(*item)
+    return evaluate_graph(g, cap, girth_min)
 
 
 def cross_validate(
@@ -212,47 +211,46 @@ def cross_validate(
 ) -> CensusResult:
     """Census over the built-in range plus any external graph6 graphs.
 
-    ``ns`` selects built-in sizes (n <= 7); ``girth_min`` drops graphs of
-    smaller girth (girth_min >= 5 uses the pruned girth-5 generator).
-    Results are merged in generation order regardless of worker count.
+    ``ns`` selects built-in sizes (n <= 7); ``girth_min`` skips graphs of
+    smaller girth before deciding them (girth_min >= 5 uses the pruned
+    girth-5 generator).  ``workers`` = 0 means one per CPU.  Results are
+    merged in generation order regardless of worker count.
     """
 
-    def items() -> Iterator[tuple[str, int | str]]:
+    def items() -> Iterator[tuple[int, int] | str]:
         for n in ns:
-            pairs = _pairs(n)
             if girth_min is not None and girth_min >= 5:
-                for mask in _girth5_connected_masks(n):
-                    yield (str(n), mask)
+                masks = _girth5_connected_masks(n)
             else:
-                for mask in range(1 << len(pairs)):
-                    if _mask_connected(n, pairs, mask):
-                        yield (str(n), mask)
+                masks = _connected_masks(n)
+            for mask in masks:
+                yield (n, mask)
         for line in graph6_lines:
             line = line.strip()
             if line:
-                yield ("g6", line)
+                yield line
 
-    _init_worker(cap)
+    work = functools.partial(_worker, cap=cap, girth_min=girth_min)
     # the results are the same for any worker count, so more workers than
     # CPUs would only cost processes
-    workers = min(workers, os.cpu_count() or 1)
+    cpus = os.cpu_count() or 1
+    workers = min(workers or cpus, cpus)
     if workers > 1:
-        pool = multiprocessing.Pool(workers, initializer=_init_worker, initargs=(cap,))
+        pool = multiprocessing.Pool(workers)
         try:
-            records = pool.imap(_worker, items(), chunksize=256)
-            result = _accumulate(records, girth_min)
+            result = _accumulate(pool.imap(work, items(), chunksize=256))
         finally:
             pool.close()
             pool.join()
         return result
-    return _accumulate(map(_worker, items()), girth_min)
+    return _accumulate(map(work, items()))
 
 
-def _accumulate(records: Iterable[_Record], girth_min: int | None) -> CensusResult:
+def _accumulate(records: Iterable[_Record | None]) -> CensusResult:
     table: dict[tuple[int, str], CensusRow] = {}
     disagreements: list[Disagreement] = []
     for rec in records:
-        if girth_min is not None and rec.girth < girth_min:
+        if rec is None:
             continue
         key = (rec.n, rec.girth_class)
         row = table.get(key)

@@ -197,7 +197,7 @@ def classify_connected_girth5(g: Graph) -> Classification:
     the oracle.  Such a graph is one structural component for classify.
     """
     gg = girth(g)
-    if not gg >= 5:
+    if not gg.at_least(5):
         raise ValueError(f"girth {gg} < 5: route this graph to the oracle")
     if g.n == 0 or g.has_isolated_vertex():
         raise ValueError("graph has an isolated vertex")
@@ -266,7 +266,7 @@ def classify(g: Graph, cap: int = DEFAULT_CAP) -> Classification:
             if refutation is None:
                 refutation = refuted
         reports.append(report)
-    gg = Girth.finite(min(finite_girths)) if finite_girths else Girth.infinite()
+    gg = Girth(min(finite_girths, default=None))
     fallback = any(r.route is Route.ORACLE_FALLBACK for r in reports)
     route = Route.ORACLE_FALLBACK if fallback else Route.STRUCTURAL_GIRTH5
     failing = next((r for r in reports if r.verdict is Verdict.NOT_MEMBER), None)
@@ -324,7 +324,7 @@ def classification_to_json(g: Graph, cls: Classification) -> dict:
         "verdict": cls.verdict.value,
         "route": cls.route.value,
         "caseTag": cls.case_tag.value if cls.case_tag else None,
-        "girth": None if cls.girth.is_infinite else cls.girth.value,
+        "girth": cls.girth.value,
         "components": components,
         "witness": None if cls.witness is None else witness_json(g, cls.witness),
         "refutation": refutation,

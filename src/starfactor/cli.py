@@ -267,9 +267,8 @@ def _run_census(args: argparse.Namespace, cap: int, out: TextIO) -> int:
         lines = _read_file(args.graph6_file).splitlines()
     if not ns and not lines:
         raise CliError("census needs -n MIN..MAX and/or --graph6-file")
-    workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
     result = cross_validate(
-        ns=ns, girth_min=args.girth_min, cap=cap, workers=workers, graph6_lines=lines
+        ns=ns, girth_min=args.girth_min, cap=cap, workers=args.workers, graph6_lines=lines
     )
     out.write(report(result, fmt=args.output, cap=cap))
     return EXIT_NOT_MEMBER if result.disagreements else 0

@@ -42,59 +42,15 @@ class Graph6Error(GraphError):
     """Malformed graph6 text."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Girth:
-    """Length of a shortest cycle; ``value`` is None for forests (infinite).
-
-    Comparisons against integers treat the infinite girth as larger than
-    every finite value, so ``girth(g) >= 5`` holds for forests.
-    """
+    """Length of a shortest cycle; ``value`` is None for forests (infinite)."""
 
     value: int | None
 
-    @classmethod
-    def finite(cls, k: int) -> "Girth":
-        if k < 3:
-            raise ValueError(f"finite girth must be >= 3, got {k}")
-        return cls(k)
-
-    @classmethod
-    def infinite(cls) -> "Girth":
-        return cls(None)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
-    def __ge__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self.value is None or self.value >= other
-        return NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self.value is None or self.value > other
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self.value is not None and self.value <= other
-        return NotImplemented
-
-    def __lt__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self.value is not None and self.value < other
-        return NotImplemented
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self.value == other
-        if isinstance(other, Girth):
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("Girth", self.value))
+    def at_least(self, k: int) -> bool:
+        """True iff no cycle is shorter than k; forests pass for every k."""
+        return self.value is None or self.value >= k
 
     def __str__(self) -> str:
         return "Infinite" if self.value is None else str(self.value)
@@ -165,7 +121,9 @@ class Graph:
         return (min(u, v), max(u, v)) in self.edge_index
 
     def has_isolated_vertex(self) -> bool:
-        return not all(self.adjacency)
+        # fewer than n/2 edges cannot touch every vertex: decided without
+        # building the adjacency, however large n is
+        return 2 * self.m < self.n or not all(self.adjacency)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -276,9 +234,8 @@ def girth(g: Graph) -> Girth:
     """Shortest cycle length; Infinite for forests."""
     if g.m - g.n + len(connected_components(g)) == 0:
         # cycle rank zero: a forest, found in linear time
-        return Girth.infinite()
-    best = shortest_cycle(g, range(g.n))
-    return Girth.infinite() if best is None else Girth.finite(best)
+        return Girth(None)
+    return Girth(shortest_cycle(g, range(g.n)))
 
 
 def shortest_cycle(g: Graph, vertices: Iterable[int]) -> int | None:

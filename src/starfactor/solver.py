@@ -59,8 +59,8 @@ class Weighting:
         return tuple(w.numerator * (scale // w.denominator) for w in self.weights)
 
     @classmethod
-    def constant(cls, m: int, value: Fraction | int = 1) -> "Weighting":
-        return cls(tuple(Fraction(value) for _ in range(m)))
+    def constant(cls, m: int) -> "Weighting":
+        return cls((ONE,) * m)
 
 
 @dataclass(frozen=True)
@@ -201,8 +201,7 @@ def decide_uniform_weighting(vectors: Sequence[IncidenceVector]) -> FeasibilityO
     m = len(vectors[0])
     rows, pivots, used = _reduce_rows(d_rows)
     if not rows:
-        weighting = Weighting.constant(m) if m else Weighting(())
-        return Witness(weighting=weighting, common_weight=Fraction(sum(vectors[0])))
+        return Witness(weighting=Weighting.constant(m), common_weight=Fraction(sum(vectors[0])))
 
     # A one-signed basis row is already a certificate; its pivot entry is
     # positive, so it is nonnegative.

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from starfactor import census
 from starfactor.census import (
     CensusResult,
     CensusRow,
@@ -49,7 +50,7 @@ class TestGenerators:
     def test_girth5_generator_agrees_with_filter(self):
         for n in range(1, 7):
             expected = sorted(
-                g.edges for g in generate_connected(n) if girth(g) >= 5
+                g.edges for g in generate_connected(n) if girth(g).at_least(5)
             )
             got = sorted(g.edges for g in generate_connected_girth5(n))
             assert got == expected
@@ -112,6 +113,21 @@ class TestCrossValidate:
         result = cross_validate(graph6_lines=lines, girth_min=9)
         assert [(r.n, r.girth_class, r.graph_count) for r in result.rows] == [(9, ">=8", 1)]
 
+    def test_girth_filter_decides_only_kept_graphs(self, monkeypatch):
+        unfiltered = cross_validate(ns=[5])
+        decided = []
+        oracle = census.omega_oracle
+
+        def recording_oracle(g, cap):
+            decided.append(g)
+            return oracle(g, cap=cap)
+
+        monkeypatch.setattr("starfactor.census.omega_oracle", recording_oracle)
+        filtered = cross_validate(ns=[5], girth_min=4)
+        assert all(girth(g).at_least(4) for g in decided)
+        assert len(decided) == sum(r.graph_count for r in filtered.rows)
+        assert filtered.rows == [r for r in unfiltered.rows if r.girth_class != "3"]
+
     def test_worker_count_does_not_change_result(self):
         seq = cross_validate(ns=[5], girth_min=5)
         par = cross_validate(ns=[5], girth_min=5, workers=2)
@@ -122,9 +138,8 @@ class TestCrossValidate:
         sizes = []
 
         class StubPool:
-            def __init__(self, processes, initializer=None, initargs=()):
+            def __init__(self, processes):
                 sizes.append(processes)
-                initializer(*initargs)
 
             def imap(self, func, iterable, chunksize=1):
                 return map(func, iterable)
@@ -137,9 +152,11 @@ class TestCrossValidate:
 
         monkeypatch.setattr("starfactor.census.multiprocessing.Pool", StubPool)
         monkeypatch.setattr("starfactor.census.os.cpu_count", lambda: 2)
-        clamped = cross_validate(ns=[4], workers=100_000)
-        assert sizes == [2]
-        assert clamped.rows == cross_validate(ns=[4], workers=1).rows
+        expected = cross_validate(ns=[4], workers=1).rows
+        # 0 means every CPU
+        for workers in (100_000, 0):
+            assert cross_validate(ns=[4], workers=workers).rows == expected
+        assert sizes == [2, 2]
 
     def test_uniform_subset_of_members_on_every_row(self):
         result = cross_validate(ns=[4, 5])
@@ -214,14 +231,14 @@ class TestFixtureFiles:
         assert len(lines) == 47
         for line in lines:
             g = parse_graph6(line)
-            assert g.n == 8 and girth(g) >= 5
+            assert g.n == 8 and girth(g).at_least(5)
 
     def test_delta2_n8_list(self):
         lines = (DATA_DIR / "delta2_girth5_n8.g6").read_text().splitlines()
         assert len(lines) == 5
         for line in lines:
             g = parse_graph6(line)
-            assert min(g.degree(v) for v in range(g.n)) >= 2 and girth(g) >= 5
+            assert min(g.degree(v) for v in range(g.n)) >= 2 and girth(g).at_least(5)
 
     def test_petersen_fixture(self):
         lines = (DATA_DIR / "petersen.g6").read_text().splitlines()

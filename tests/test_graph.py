@@ -132,14 +132,14 @@ class TestGraph6:
 class TestGirth:
     @pytest.mark.parametrize("n", range(3, 10))
     def test_cycle_girth(self, n):
-        assert girth(cycle(n)) == n
+        assert girth(cycle(n)).value == n
 
     def test_forest_infinite(self):
-        assert girth(path(6)).is_infinite
-        assert girth(Graph(3, ())).is_infinite
+        assert girth(path(6)).value is None
+        assert girth(Graph(3, ())).value is None
 
     def test_petersen_girth_five(self):
-        assert girth(petersen()) == 5
+        assert girth(petersen()).value == 5
 
     def test_matches_brute_force_on_small_graphs(self):
         # [DERIVED: edge-removal-distance girth on every 4-vertex graph]
@@ -153,17 +153,14 @@ class TestGirth:
                 got = girth(g)
                 assert (got.value is None) == (expected is None)
                 if expected is not None:
-                    assert got == expected
+                    assert got.value == expected
 
     def test_comparison_protocol(self):
-        assert Girth.infinite() >= 5
-        assert not Girth.infinite() <= 5
-        assert Girth.finite(5) >= 5
-        assert Girth.finite(4) < 5
-        assert Girth.finite(6) == Girth.finite(6)
-        assert str(Girth.infinite()) == "Infinite"
-        with pytest.raises(ValueError):
-            Girth.finite(2)
+        assert Girth(None).at_least(5) and Girth(None).at_least(10**9)
+        assert Girth(5).at_least(5) and not Girth(4).at_least(5)
+        assert Girth(6) == Girth(6) and Girth(6) != Girth(7) and Girth(6) != Girth(None)
+        assert hash(Girth(6)) == hash(Girth(6))
+        assert str(Girth(None)) == "Infinite" and str(Girth(5)) == "5"
 
 
 class TestVertexClasses:

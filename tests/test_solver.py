@@ -173,6 +173,10 @@ class TestOracle:
         from starfactor.graph import Graph
 
         assert omega_oracle(Graph(1, ())).verdict is Verdict.VACUOUS
+        # fewer than n/2 edges: decided without building the adjacency
+        huge = Graph(10**9, ())
+        assert omega_oracle(huge).verdict is Verdict.VACUOUS
+        assert "adjacency" not in vars(huge)
 
     def test_cap(self):
         assert omega_oracle(cycle(6), cap=2).verdict is Verdict.CAP_EXCEEDED
