@@ -170,7 +170,7 @@ def evaluate_graph(
     result = omega_oracle(g, cap=cap)
     verdict = result.verdict
     # every factor has the same edge count iff w = 1 is uniform, and then
-    # t <= w_e <= 1 makes w = 1 the LP's unique optimum: the witness is all ones
+    # decide_uniform_weighting returns the all-ones witness before building D
     u_member = result.witness is not None and all(
         w == 1 for w in result.witness.weighting.weights
     )

@@ -231,11 +231,28 @@ def to_graph6(g: Graph) -> str:
 
 
 def girth(g: Graph) -> Girth:
-    """Shortest cycle length; Infinite for forests."""
-    if g.m - g.n + len(connected_components(g)) == 0:
-        # cycle rank zero: a forest, found in linear time
-        return Girth(None)
-    return Girth(shortest_cycle(g, range(g.n)))
+    """Shortest cycle length; Infinite for forests.
+
+    A union-find over the edges alone (no adjacency, nothing per vertex
+    that no edge touches) finds the first edge that closes a cycle; only
+    then does the BFS of ``shortest_cycle`` run.
+    """
+    parent: dict[int, int] = {}
+
+    def root(v: int) -> int:
+        # path halving keeps the trees shallow whatever the edge order
+        while (p := parent.get(v, v)) != v:
+            grandparent = parent.get(p, p)
+            parent[v] = grandparent
+            v = grandparent
+        return v
+
+    for u, v in g.edges:
+        ru, rv = root(u), root(v)
+        if ru == rv:
+            return Girth(shortest_cycle(g, range(g.n)))
+        parent[ru] = rv
+    return Girth(None)
 
 
 def shortest_cycle(g: Graph, vertices: Iterable[int]) -> int | None:

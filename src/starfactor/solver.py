@@ -4,18 +4,26 @@ A graph belongs to the family iff some strictly positive edge-weighting
 gives every star-factor the same total weight.  Writing x_i for the
 factor incidence vectors, that is a strictly positive solution of
 (x_i - x_1).w = 0 for all i.  The decision is exact and never uses
-floating point.  A fraction-free elimination in integers reduces D to a
-basis B of its row space (primitive rows, positive pivots); then
+floating point.  It goes in this order:
 
-  maximize t  subject to  B w = 0,  w_e >= t,  w_e <= 1
+1. Every factor has the same edge count: w = 1 is a solution, and the
+   all-ones witness is returned before D is even built.
+2. Otherwise a fraction-free elimination in integers reduces D to a
+   basis B of its row space (primitive rows, positive pivots).  A
+   one-signed row of B is nonnegative and nonzero, and no positive w is
+   orthogonal to it: it is the certificate.
+3. Otherwise LP1,
 
-has optimum t > 0 exactly when a positive solution exists (the system is
-homogeneous, so any positive solution scales into the box).  At optimum
-t = 0, Stiemke's alternative guarantees a nonnegative nonzero vector y.B
-in the row space; a one-signed basis row is one, and otherwise a second
-small program finds y.  Only then are the certificate's coefficients on
-the rows of D recovered, from one small square system, so that the
-certificate is checkable without trusting the simplex.
+     maximize t  subject to  B w = 0,  w_e >= t,  w_e <= 1,
+
+   has optimum t > 0 exactly when a positive solution exists (the
+   system is homogeneous, so any positive solution scales into the box).
+4. At optimum t = 0, Stiemke's alternative guarantees a nonnegative
+   nonzero vector y.B in the row space, and LP2 finds y.
+
+Only for a certificate are its coefficients on the rows of D recovered,
+from one small square system, so that the certificate is checkable
+without trusting the simplex.
 """
 
 from __future__ import annotations
@@ -119,13 +127,20 @@ class OracleResult:
     factor_count: int | None = None
 
 
-def difference_matrix(vectors: Sequence[IncidenceVector]) -> list[list[int]]:
-    """Rows x_i - x_1 for i >= 2; w equalizes all factors iff D w = 0."""
+def _width(vectors: Sequence[IncidenceVector]) -> int:
+    """The common length m of the incidence vectors, checked."""
     if not vectors:
         raise ValueError("at least one incidence vector required")
-    first = vectors[0]
-    if any(len(v) != len(first) for v in vectors):
+    m = len(vectors[0])
+    if any(len(v) != m for v in vectors):
         raise ValueError("incidence vectors must all have the same length")
+    return m
+
+
+def difference_matrix(vectors: Sequence[IncidenceVector]) -> list[list[int]]:
+    """Rows x_i - x_1 for i >= 2; w equalizes all factors iff D w = 0."""
+    _width(vectors)
+    first = vectors[0]
     return [[a - b for a, b in zip(v, first)] for v in vectors[1:]]
 
 
@@ -197,11 +212,14 @@ def _refutation(
 
 def decide_uniform_weighting(vectors: Sequence[IncidenceVector]) -> FeasibilityOutcome:
     """Exact decision: uniform positive weighting, or a Stiemke certificate."""
+    m = _width(vectors)
+    # Every factor has the same edge count iff D 1 = 0, and then t <= w_e <= 1
+    # makes t = 1, w = 1 LP1's unique optimum: its witness is all ones.
+    edge_count = sum(vectors[0])
+    if all(sum(v) == edge_count for v in vectors):
+        return Witness(weighting=Weighting.constant(m), common_weight=Fraction(edge_count))
     d_rows = difference_matrix(vectors)
-    m = len(vectors[0])
     rows, pivots, used = _reduce_rows(d_rows)
-    if not rows:
-        return Witness(weighting=Weighting.constant(m), common_weight=Fraction(sum(vectors[0])))
 
     # A one-signed basis row is already a certificate; its pivot entry is
     # positive, so it is nonnegative.

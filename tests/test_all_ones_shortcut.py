@@ -1,0 +1,112 @@
+"""The all-ones shortcut against the linear program it skips.
+
+When every star-factor has the same edge count, ``decide_uniform_weighting``
+returns the all-ones witness before it builds D.  ``reference_lp1_witness``
+below is the path every member took before: the row basis of D, then LP1
+(maximize t subject to B w = 0, w_e >= t, w_e <= 1) and its optimum
+scaled to minimum weight one.  With equal edge counts, t = 1, w = 1 is
+LP1's unique optimum, so on every such graph both must return the same
+witness, byte for byte.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from starfactor import simplex
+from starfactor.factors import (
+    VacuousGraph,
+    edge_count_spectrum,
+    enumerate_star_factors,
+    incidence_vectors,
+)
+from starfactor.graph import Graph
+from starfactor.solver import (
+    Weighting,
+    Witness,
+    _reduce_rows,
+    decide_uniform_weighting,
+    difference_matrix,
+    verify_outcome,
+)
+
+from conftest import double_star_graph
+
+
+def reference_lp1_witness(vectors) -> Witness:
+    """LP1's witness on the reduced row basis of D; asserts that LP1 has
+    a positive optimum, so call it on members only."""
+    m = len(vectors[0])
+    rows, pivots, _ = _reduce_rows(difference_matrix(vectors))
+    r = len(rows)
+    basis = [
+        row if row[p] == 1 else [Fraction(x, row[p]) if x else 0 for x in row]
+        for row, p in zip(rows, pivots)
+    ]
+    # variables: w_0..w_{m-1}, t, surplus s_e (w_e - t >= 0), slack u_e (w_e <= 1)
+    nvars = 3 * m + 1
+    lp_rows = [[*brow, *[0] * (2 * m + 1)] for brow in basis]
+    rhs = [0] * r
+    for e in range(m):
+        row = [0] * nvars
+        row[e] = 1
+        row[m] = -1
+        row[m + 1 + e] = -1
+        lp_rows.append(row)
+        rhs.append(0)
+    for e in range(m):
+        row = [0] * nvars
+        row[e] = 1
+        row[2 * m + 1 + e] = 1
+        lp_rows.append(row)
+        rhs.append(1)
+    c = [0] * nvars
+    c[m] = 1
+    t_opt, x = simplex.solve(c, lp_rows, rhs)
+    assert t_opt > 0
+    scale = min(x[:m])
+    weighting = Weighting(tuple(w / scale for w in x[:m]))
+    common = sum(w for w, bit in zip(weighting.weights, vectors[0]) if bit)
+    return Witness(weighting=weighting, common_weight=Fraction(common))
+
+
+@st.composite
+def uniform_vectors(draw):
+    """Incidence vectors of a graph with n <= 7 and m <= 12 whose
+    star-factors all have one edge count."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = set(draw(st.lists(st.sampled_from(pairs), max_size=12, unique=True)))
+    # give each bare vertex an edge, while m allows, so few draws are vacuous
+    for v in range(n):
+        if len(chosen) < 12 and not any(v in pair for pair in chosen):
+            u = draw(st.sampled_from([u for u in range(n) if u != v]))
+            chosen.add((min(u, v), max(u, v)))
+    g = Graph(n, tuple(sorted(chosen)))
+    try:
+        factors = enumerate_star_factors(g)
+    except VacuousGraph:
+        assume(False)
+    assume(len(edge_count_spectrum(factors)) == 1)
+    return incidence_vectors(factors, g.m)
+
+
+@given(uniform_vectors())
+@settings(max_examples=300, deadline=None)
+def test_shortcut_equals_lp1(vectors):
+    assert decide_uniform_weighting(vectors) == reference_lp1_witness(vectors)
+
+
+def test_several_edge_counts_keep_the_lp_witness():
+    # the double star's factors have 7 to 10 edges: only LP1 finds its witness
+    g = double_star_graph()
+    factors = enumerate_star_factors(g)
+    assert len(edge_count_spectrum(factors)) > 1
+    vectors = incidence_vectors(factors, g.m)
+    outcome = decide_uniform_weighting(vectors)
+    assert outcome == reference_lp1_witness(vectors)
+    assert len(set(outcome.weighting.weights)) > 1
+    assert verify_outcome(vectors, outcome)

@@ -156,6 +156,14 @@ class TestGirthAndWitness:
         assert json.loads(out) == {"verdict": "NotMember", "witness": None}
 
 
+    @pytest.mark.parametrize("command", ["classify", "witness", "girth"])
+    def test_huge_edgeless_graph_without_adjacency(self, command, monkeypatch):
+        # 10^9 adjacency lists would take tens of GB: a call to build them fails
+        small = invoke([command, "-"], stdin_text="4 0\n")
+        monkeypatch.setattr(Graph, "adjacency", property(lambda g: pytest.fail("adjacency built")))
+        assert invoke([command, "-"], stdin_text="1000000000 0\n") == small
+
+
 class TestCapAndVacuousJson:
     """Cap and vacuous outcomes print a JSON verdict under --output json and
     the same text as before without it."""
