@@ -18,6 +18,7 @@ builds a subgraph only for a component that goes to the oracle.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -146,7 +147,7 @@ def _core_kind_ok(kind: CoreComponentKind, g: Graph) -> bool:
         return kind.m == 1 or kind.center_degree == kind.m
     if isinstance(kind, FiveCycleCore):
         high = kind.high_degree
-        return len(high) < 2 or (len(high) == 2 and not g.has_edge(*high))
+        return len(high) < 2 or (len(high) == 2 and high[1] not in g.adjacency[high[0]])
     return isinstance(kind, IsolatedVertexCore)
 
 
@@ -253,7 +254,7 @@ def classify(g: Graph, cap: int = DEFAULT_CAP) -> Classification:
     for verts in induced_components(g):
         cycle = None
         if sum(len(adjacency[v]) for v in verts) != 2 * (len(verts) - 1):
-            cycle = shortest_cycle(g, verts)
+            cycle = shortest_cycle(adjacency, verts)
             finite_girths.append(cycle)
         if cycle is None or cycle >= 5:
             report = _structural_report(g, verts, vc.leaves, outer)
@@ -280,8 +281,9 @@ def classify(g: Graph, cap: int = DEFAULT_CAP) -> Classification:
         if isinstance(kind, StarCore) and kind.m == 1:
             # a factor covers a K_{1,1} core edge either by that edge or by
             # one stem edge at each end, so it weighs 2; its center is its
-            # smaller vertex
-            weights[g.edge_index[(kind.center, kind.leaves[0])]] = TWO
+            # smaller vertex.  g.edges is sorted, so a bisection finds the
+            # edge's index without building g.edge_index.
+            weights[bisect_left(g.edges, (kind.center, kind.leaves[0]))] = TWO
     witness = Weighting(tuple(weights))
     return Classification(Verdict.MEMBER, route, case_tag, gg, witness, None, tuple(reports))
 

@@ -6,14 +6,20 @@ vertices have no star-factors at all.  The enumerator backtracks over int
 vertex bitmasks, cuts every branch that leaves some uncovered vertex
 without an uncovered neighbor, and keeps each factor's stars as it
 placed them.
+
+Each factor's edge set is an int mask (bit i for edge i), accumulated as
+stars are placed; the oracle reads nothing else.  No star-factor's edge
+set contains another's, which lets one int sort put the factors in
+lexicographic order, and ``incidence_vectors`` reads the mask's bits.
+The frozensets of ``StarFactor.stars`` and ``StarFactor.edge_set`` are
+built only when someone reads them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graph import Graph
 
@@ -35,16 +41,30 @@ class VacuousGraph(Exception):
     """The graph has an isolated vertex, hence no star-factor."""
 
 
-@dataclass(frozen=True)
-class StarFactor:
-    """A spanning star forest: per-star (center, leaves) plus its edge set."""
+class StarFactor(NamedTuple):
+    """A spanning star forest, as the search found it.
 
-    stars: tuple[tuple[int, frozenset[int]], ...]
-    edge_set: frozenset[int]
+    ``edge_mask`` has bit i set iff edge i is in the factor; ``placed``
+    holds each star as (center, leaves) in the order it was placed, that
+    is by lowest vertex.  ``stars``, ``edge_set`` and ``edge_count`` are
+    computed on each access: the oracle reads only the mask.
+    """
+
+    edge_mask: int
+    placed: tuple[tuple[int, tuple[int, ...]], ...]
+
+    @property
+    def stars(self) -> tuple[tuple[int, frozenset[int]], ...]:
+        return tuple((c, frozenset(ls)) for c, ls in self.placed)
+
+    @property
+    def edge_set(self) -> frozenset[int]:
+        mask = self.edge_mask
+        return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edge_set)
+        return self.edge_mask.bit_count()
 
 
 def enumerate_star_factors(g: Graph, cap: int = DEFAULT_CAP) -> list[StarFactor]:
@@ -62,6 +82,14 @@ def enumerate_star_factors(g: Graph, cap: int = DEFAULT_CAP) -> list[StarFactor]
     as they were placed, ordered by lowest vertex.  The search keeps an
     explicit stack, so its depth is not bounded by Python's recursion limit.
 
+    Edge sets are int masks too, accumulated as stars are placed.  Edge i
+    sets bit i of the low m bits and bit m-1-i of the high m bits.  No
+    factor's edge set contains another's (an extra edge uv joins u's star
+    and v's star into a path of length 3), so the first edge in which two
+    sorted edge tuples differ is the least edge of the symmetric
+    difference, and the factor holding it comes first: descending order
+    of the high half, one native int sort.
+
     Raises VacuousGraph if g has an isolated vertex and CapExceeded if more
     than ``cap`` factors exist (never a silent truncation).
     """
@@ -70,11 +98,15 @@ def enumerate_star_factors(g: Graph, cap: int = DEFAULT_CAP) -> list[StarFactor]
     if cap < 1:
         raise ValueError("cap must be positive")
     if g.n == 0:
-        return [StarFactor(stars=(), edge_set=frozenset())]
-    edge_index = g.edge_index
+        return [StarFactor(0, ())]
+    m = g.m
     adjacency = g.adjacency
     reach = [sum(1 << u for u in ns) for ns in adjacency]
-    found: list[tuple[tuple[int, tuple[int, ...]], ...]] = []
+    # edge_bits[u][v]: edge uv's bit in both halves of the accumulated mask
+    edge_bits: list[dict[int, int]] = [{} for _ in range(g.n)]
+    for i, (u, v) in enumerate(g.edges):
+        edge_bits[u][v] = edge_bits[v][u] = 1 << (2 * m - 1 - i) | 1 << i
+    found: list[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]] = []
 
     def stars_at(v: int, free: int) -> Iterator[tuple[int, tuple[int, ...]]]:
         """(center, leaves) for every star that covers v, given the mask
@@ -89,13 +121,14 @@ def enumerate_star_factors(g: Graph, cap: int = DEFAULT_CAP) -> list[StarFactor]
                 for extra in combinations(others, size):
                     yield u, (v,) + extra
 
-    # frames[k] = (uncovered mask, the stars covering its lowest vertex
-    # still to try) at depth k; placed[k] is the star in use at depth k.
+    # frames[k] = (uncovered mask, edge mask of the stars placed above
+    # depth k, the stars covering its lowest vertex still to try) at
+    # depth k; placed[k] is the star in use at depth k.
     full = (1 << g.n) - 1
-    frames = [(full, stars_at(0, full ^ 1))]
+    frames = [(full, 0, stars_at(0, full ^ 1))]
     placed: list[tuple[int, tuple[int, ...]]] = []
     while frames:
-        uncovered, stars = frames[-1]
+        uncovered, edges, stars = frames[-1]
         star = next(stars, None)
         if star is None:
             frames.pop()
@@ -105,11 +138,13 @@ def enumerate_star_factors(g: Graph, cap: int = DEFAULT_CAP) -> list[StarFactor]
         center, leaves = star
         left = uncovered & ~(1 << center)
         near = reach[center]
+        bits = edge_bits[center]
         for x in leaves:
             left &= ~(1 << x)
             near |= reach[x]
+            edges |= bits[x]
         if not left:
-            found.append((*placed, star))
+            found.append((edges, (*placed, star)))
             if len(found) > cap:
                 raise CapExceeded(cap)
             continue
@@ -122,27 +157,28 @@ def enumerate_star_factors(g: Graph, cap: int = DEFAULT_CAP) -> list[StarFactor]
             continue
         placed.append(star)
         v = (left & -left).bit_length() - 1
-        frames.append((left, stars_at(v, left ^ (1 << v))))
-    factors = []
-    for stars in found:
-        edges = tuple(sorted(
-            edge_index[(c, x) if c < x else (x, c)] for c, ls in stars for x in ls
-        ))
-        factors.append((edges, tuple((c, frozenset(ls)) for c, ls in stars)))
-    factors.sort(key=lambda f: f[0])
-    return [StarFactor(stars=stars, edge_set=frozenset(es)) for es, stars in factors]
+        frames.append((left, edges, stars_at(v, left ^ (1 << v))))
+    # the masks are distinct, so the sort never compares the stars
+    found.sort(reverse=True)
+    low = (1 << m) - 1
+    return [StarFactor(edges & low, stars) for edges, stars in found]
+
+
+# bytes.translate table taking the ASCII digits of a binary numeral to 0/1
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def incidence_vectors(factors: list[StarFactor], m: int) -> list[IncidenceVector]:
     """One 0/1 vector of length m per factor, in the same order."""
+    top = 1 << m
     vectors = []
     for f in factors:
-        if any(i >= m or i < 0 for i in f.edge_set):
+        mask = f.edge_mask
+        if mask >> m:  # also true for a negative mask
             raise ValueError(f"edge index out of range for m={m}")
-        v = [0] * m
-        for i in f.edge_set:
-            v[i] = 1
-        vectors.append(tuple(v))
+        # bin() reads '0b1' then bits m-1..0: reversed, the slice stops
+        # before the marker bit, so m = 0 gives the empty vector
+        vectors.append(tuple(bin(mask | top)[:2:-1].encode().translate(_BITS)))
     return vectors
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Container, Iterable
+from typing import Container, Iterable, Mapping, Sequence
 
 
 class GraphError(Exception):
@@ -233,9 +233,10 @@ def to_graph6(g: Graph) -> str:
 def girth(g: Graph) -> Girth:
     """Shortest cycle length; Infinite for forests.
 
-    A union-find over the edges alone (no adjacency, nothing per vertex
-    that no edge touches) finds the first edge that closes a cycle; only
-    then does the BFS of ``shortest_cycle`` run.
+    A union-find over the edges finds the first edge that closes a cycle;
+    only then does the BFS of ``shortest_cycle`` run, over an adjacency
+    built from the edges.  Neither step keeps anything for a vertex that
+    no edge touches.
     """
     parent: dict[int, int] = {}
 
@@ -250,16 +251,21 @@ def girth(g: Graph) -> Girth:
     for u, v in g.edges:
         ru, rv = root(u), root(v)
         if ru == rv:
-            return Girth(shortest_cycle(g, range(g.n)))
+            touched: dict[int, list[int]] = {}
+            for a, b in g.edges:
+                touched.setdefault(a, []).append(b)
+                touched.setdefault(b, []).append(a)
+            return Girth(shortest_cycle(touched, touched))
         parent[ru] = rv
     return Girth(None)
 
 
-def shortest_cycle(g: Graph, vertices: Iterable[int]) -> int | None:
-    """Shortest cycle found by a BFS on g's adjacency from each of
+def shortest_cycle(
+    adjacency: Mapping[int, Sequence[int]] | Sequence[Sequence[int]], vertices: Iterable[int]
+) -> int | None:
+    """Shortest cycle found by a BFS over ``adjacency`` from each of
     ``vertices``: the girth of the components they fill (None for a
     forest), with no subgraph built for them."""
-    adjacency = g.adjacency
     best: int | None = None
     for root in vertices:
         dist = {root: 0}

@@ -163,6 +163,16 @@ class TestGirthAndWitness:
         monkeypatch.setattr(Graph, "adjacency", property(lambda g: pytest.fail("adjacency built")))
         assert invoke([command, "-"], stdin_text="1000000000 0\n") == small
 
+    @pytest.mark.parametrize("command", ["classify", "witness", "girth"])
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_huge_graph_with_a_triangle_without_adjacency(self, command, output, monkeypatch):
+        # the girth BFS runs on the three vertices that edges touch
+        triangle = "0 1\n1 2\n0 2\n"
+        argv = [command, "-", "--output", output]
+        small = invoke(argv, stdin_text="4 3\n" + triangle)
+        monkeypatch.setattr(Graph, "adjacency", property(lambda g: pytest.fail("adjacency built")))
+        assert invoke(argv, stdin_text="1000000000 3\n" + triangle) == small
+
 
 class TestCapAndVacuousJson:
     """Cap and vacuous outcomes print a JSON verdict under --output json and

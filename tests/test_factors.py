@@ -28,6 +28,17 @@ from conftest import (
 from test_properties import graphs
 
 
+def reference_incidence_vectors(factors, m):
+    """Vectors marked index by index from each factor's edge set."""
+    vectors = []
+    for f in factors:
+        v = [0] * m
+        for i in f.edge_set:
+            v[i] = 1
+        vectors.append(tuple(v))
+    return vectors
+
+
 def all_graphs(n):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for r in range(len(pairs) + 1):
@@ -99,6 +110,19 @@ class TestStructure:
         keys = [tuple(sorted(f.edge_set)) for f in factors]
         assert keys == sorted(keys)
 
+    @given(graphs(max_n=8, max_m=14))
+    @settings(max_examples=300, deadline=None)
+    def test_edge_sets_are_an_antichain_in_sorted_order(self, g):
+        # the enumerator sorts by a bit-reversed edge mask; that order is
+        # the lexicographic one only because no edge set contains another
+        if g.has_isolated_vertex():
+            return
+        factors = enumerate_star_factors(g)
+        edge_sets = [f.edge_set for f in factors]
+        for a, b in itertools.combinations(edge_sets, 2):
+            assert not a <= b and not b <= a
+        assert factors == sorted(factors, key=lambda f: tuple(sorted(f.edge_set)))
+
     def test_stars_partition_vertices(self):
         for g in [cycle(6), spider(2), double_star_graph()]:
             for f in enumerate_star_factors(g):
@@ -155,9 +179,28 @@ class TestCoordinates:
             assert {i for i, bit in enumerate(vec) if bit} == f.edge_set
 
     def test_incidence_vector_range_check(self):
-        f = StarFactor(stars=((0, frozenset({1})),), edge_set=frozenset({3}))
+        # edge 3 cannot be marked in a vector of length 2
+        f = StarFactor(edge_mask=1 << 3, placed=((0, (1,)),))
         with pytest.raises(ValueError):
             incidence_vectors([f], 2)
+        with pytest.raises(ValueError):
+            incidence_vectors([StarFactor(-1, ())], 2)
+
+    @given(graphs(max_n=8, max_m=12))
+    @settings(max_examples=300, deadline=None)
+    def test_incidence_vectors_match_reference(self, g):
+        if g.has_isolated_vertex():
+            return
+        factors = enumerate_star_factors(g)
+        assert incidence_vectors(factors, g.m) == reference_incidence_vectors(factors, g.m)
+
+    @given(st.integers(min_value=0, max_value=80), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_incidence_vectors_of_any_mask(self, m, data):
+        # widths past 64 bits too, and m = 0 (the empty graph's one factor)
+        masks = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << m) - 1), max_size=4))
+        factors = [StarFactor(mask, ()) for mask in masks]
+        assert incidence_vectors(factors, m) == reference_incidence_vectors(factors, m)
 
     def test_spectrum(self):
         # [DERIVED: C6 has 2 factors of 3 edges and 3 of 4 edges]
