@@ -35,7 +35,6 @@ from .solver import (
     Weighting,
     Witness,
     decide_uniform_weighting,
-    difference_matrix,
     omega_oracle,
     verify_outcome,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "Weighting",
     "Witness",
     "decide_uniform_weighting",
-    "difference_matrix",
     "omega_oracle",
     "verify_outcome",
     "CaseTag",

@@ -221,7 +221,7 @@ def _fallback_report(
     result = omega_oracle(sub, cap=cap)
     if result.witness is not None:
         for pair, w in zip(pairs, result.witness.weighting.weights):
-            weights[g.edge_index[pair]] = w
+            weights[bisect_left(g.edges, pair)] = w
     report = ComponentReport(
         vertices=verts,
         verdict=result.verdict,

@@ -3,15 +3,18 @@
 A graph belongs to the family iff some strictly positive edge-weighting
 gives every star-factor the same total weight.  Writing x_i for the
 factor incidence vectors, that is a strictly positive solution of
-(x_i - x_1).w = 0 for all i.  The decision is exact and never uses
+(x_i - x_1).w = 0 for all i, that is D w = 0 for the difference matrix
+D with rows x_i - x_1 (i >= 2).  The decision is exact and never uses
 floating point.  It goes in this order:
 
 1. Every factor has the same edge count: w = 1 is a solution, and the
-   all-ones witness is returned before D is even built.
+   all-ones witness is returned before any row of D is formed.
 2. Otherwise a fraction-free elimination in integers reduces D to a
-   basis B of its row space (primitive rows, positive pivots).  A
-   one-signed row of B is nonnegative and nonzero, and no positive w is
-   orthogonal to it: it is the certificate.
+   basis B of its row space (primitive rows, positive pivots).  D is
+   never stored: each row is formed only as the scan reads it, and the
+   scan ends once B has full rank m, which on K7 is after 187 of its
+   846 rows.  A one-signed row of B is nonnegative and nonzero, and no
+   positive w is orthogonal to it: it is the certificate.
 3. Otherwise LP1,
 
      maximize t  subject to  B w = 0,  w_e >= t,  w_e <= 1,
@@ -22,8 +25,8 @@ floating point.  It goes in this order:
    nonzero vector y.B in the row space, and LP2 finds y.
 
 Only for a certificate are its coefficients on the rows of D recovered,
-from one small square system, so that the certificate is checkable
-without trusting the simplex.
+from one small square system read off the incidence vectors, so that
+the certificate is checkable without trusting the simplex.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import simplex
 from .factors import (
@@ -127,24 +130,7 @@ class OracleResult:
     factor_count: int | None = None
 
 
-def _width(vectors: Sequence[IncidenceVector]) -> int:
-    """The common length m of the incidence vectors, checked."""
-    if not vectors:
-        raise ValueError("at least one incidence vector required")
-    m = len(vectors[0])
-    if any(len(v) != m for v in vectors):
-        raise ValueError("incidence vectors must all have the same length")
-    return m
-
-
-def difference_matrix(vectors: Sequence[IncidenceVector]) -> list[list[int]]:
-    """Rows x_i - x_1 for i >= 2; w equalizes all factors iff D w = 0."""
-    _width(vectors)
-    first = vectors[0]
-    return [[a - b for a, b in zip(v, first)] for v in vectors[1:]]
-
-
-def _reduce_rows(d_rows: list[list[int]]) -> tuple[list[list[int]], list[int], list[int]]:
+def _reduce_rows(d_rows: Iterable[list[int]]) -> tuple[list[list[int]], list[int], list[int]]:
     """Fraction-free row basis of the row space of D.
 
     Returns (rows, pivots, used): each row is a primitive integer row,
@@ -152,16 +138,14 @@ def _reduce_rows(d_rows: list[list[int]]) -> tuple[list[list[int]], list[int], l
     columns, and used[j] is the index of the D row that entered the basis
     as row j.  Dividing each row by its pivot entry gives the unique
     reduced basis of the row space with identity on the pivot columns.
-    The scan stops once the basis has as many rows as D has columns: the
-    basis then spans every row, so each later row would reduce to zero.
+    The rows are read one at a time, and the scan stops as soon as the
+    basis has as many rows as D has columns: the basis then spans every
+    row, so each later row would reduce to zero and is never requested.
     """
     rows: list[list[int]] = []
     pivots: list[int] = []
     used: list[int] = []
-    width = len(d_rows[0]) if d_rows else 0
     for i, raw in enumerate(d_rows):
-        if len(rows) == width:
-            break
         row = list(raw)
         for brow, p in zip(rows, pivots):
             if row[p]:
@@ -177,11 +161,13 @@ def _reduce_rows(d_rows: list[list[int]]) -> tuple[list[list[int]], list[int], l
         rows.append(row)
         pivots.append(pivot)
         used.append(i)
+        if len(rows) == len(row):
+            break
     return rows, pivots, used
 
 
 def _refutation(
-    d_rows: list[list[int]],
+    vectors: Sequence[IncidenceVector],
     ys: Sequence[Fraction],
     rows: list[list[int]],
     pivots: list[int],
@@ -192,6 +178,8 @@ def _refutation(
     The used D rows are independent, so the coefficients c are unique; on
     the pivot columns y.B equals y, so they solve the r x r system
     sum_t c_t D[used_t][pivot_j] = y_j, which is reduced fraction-free too.
+    Its entries are read off the incidence vectors, as D[t][p] is
+    x_{t+2}[p] - x_1[p].
     """
     forced = [ZERO] * len(rows[0])
     for y, row, p in zip(ys, rows, pivots):
@@ -201,10 +189,11 @@ def _refutation(
                     forced[e] += y * Fraction(x, row[p])
     scale = math.lcm(*(y.denominator for y in ys))
     system = [
-        [d_rows[t][p] for t in used] + [y.numerator * (scale // y.denominator)]
+        [vectors[t + 1][p] - vectors[0][p] for t in used]
+        + [y.numerator * (scale // y.denominator)]
         for y, p in zip(ys, pivots)
     ]
-    coeffs = [ZERO] * len(d_rows)
+    coeffs = [ZERO] * (len(vectors) - 1)
     for row, t in zip(*_reduce_rows(system)[:2]):
         coeffs[used[t]] = Fraction(row[-1], row[t])
     return Refutation(coeffs=tuple(coeffs), forced_zero=tuple(forced))
@@ -212,14 +201,19 @@ def _refutation(
 
 def decide_uniform_weighting(vectors: Sequence[IncidenceVector]) -> FeasibilityOutcome:
     """Exact decision: uniform positive weighting, or a Stiemke certificate."""
-    m = _width(vectors)
+    if not vectors:
+        raise ValueError("at least one incidence vector required")
+    m = len(vectors[0])
+    if any(len(v) != m for v in vectors):
+        raise ValueError("incidence vectors must all have the same length")
     # Every factor has the same edge count iff D 1 = 0, and then t <= w_e <= 1
     # makes t = 1, w = 1 LP1's unique optimum: its witness is all ones.
     edge_count = sum(vectors[0])
     if all(sum(v) == edge_count for v in vectors):
         return Witness(weighting=Weighting.constant(m), common_weight=Fraction(edge_count))
-    d_rows = difference_matrix(vectors)
-    rows, pivots, used = _reduce_rows(d_rows)
+    # D's rows x_i - x_1 (i >= 2) are formed only as the row basis reads them.
+    first = vectors[0]
+    rows, pivots, used = _reduce_rows([a - b for a, b in zip(v, first)] for v in vectors[1:])
 
     # A one-signed basis row is already a certificate; its pivot entry is
     # positive, so it is nonnegative.
@@ -228,7 +222,7 @@ def decide_uniform_weighting(vectors: Sequence[IncidenceVector]) -> FeasibilityO
         if all(x >= 0 for x in row):
             ys = [ZERO] * r
             ys[j] = ONE
-            return _refutation(d_rows, ys, rows, pivots, used)
+            return _refutation(vectors, ys, rows, pivots, used)
 
     # The reduced basis, each row divided by its pivot entry.
     basis = [
@@ -287,7 +281,7 @@ def decide_uniform_weighting(vectors: Sequence[IncidenceVector]) -> FeasibilityO
     if total <= ZERO:
         raise AssertionError("Stiemke alternative violated: no certificate found")
     ys = [x2[j] - x2[r + j] for j in range(r)]
-    return _refutation(d_rows, ys, rows, pivots, used)
+    return _refutation(vectors, ys, rows, pivots, used)
 
 
 def verify_outcome(vectors: Sequence[IncidenceVector], outcome: FeasibilityOutcome) -> bool:

@@ -1,8 +1,9 @@
 """The all-ones shortcut against the linear program it skips.
 
 When every star-factor has the same edge count, ``decide_uniform_weighting``
-returns the all-ones witness before it builds D.  ``reference_lp1_witness``
-below is the path every member took before: the row basis of D, then LP1
+returns the all-ones witness before it forms any row of D.
+``reference_lp1_witness`` below is the path every member took before: the
+row basis of D (its rows x_i - x_1 built inline), then LP1
 (maximize t subject to B w = 0, w_e >= t, w_e <= 1) and its optimum
 scaled to minimum weight one.  With equal edge counts, t = 1, w = 1 is
 LP1's unique optimum, so on every such graph both must return the same
@@ -29,7 +30,6 @@ from starfactor.solver import (
     Witness,
     _reduce_rows,
     decide_uniform_weighting,
-    difference_matrix,
     verify_outcome,
 )
 
@@ -40,7 +40,8 @@ def reference_lp1_witness(vectors) -> Witness:
     """LP1's witness on the reduced row basis of D; asserts that LP1 has
     a positive optimum, so call it on members only."""
     m = len(vectors[0])
-    rows, pivots, _ = _reduce_rows(difference_matrix(vectors))
+    d_rows = [[a - b for a, b in zip(v, vectors[0])] for v in vectors[1:]]
+    rows, pivots, _ = _reduce_rows(d_rows)
     r = len(rows)
     basis = [
         row if row[p] == 1 else [Fraction(x, row[p]) if x else 0 for x in row]

@@ -15,7 +15,7 @@ from starfactor.cli import (
 )
 from starfactor.graph import Graph, format_edge_list, to_graph6
 
-from conftest import cycle, path, star
+from conftest import DATA_DIR, cycle, disjoint_union, path, star
 
 
 def invoke(argv, stdin_text=""):
@@ -172,6 +172,31 @@ class TestGirthAndWitness:
         small = invoke(argv, stdin_text="4 3\n" + triangle)
         monkeypatch.setattr(Graph, "adjacency", property(lambda g: pytest.fail("adjacency built")))
         assert invoke(argv, stdin_text="1000000000 3\n" + triangle) == small
+
+    FALLBACK_MEMBERS = {"c4": cycle(4), "c5_plus_k3": disjoint_union(cycle(5), cycle(3))}
+
+    @pytest.mark.parametrize("name", FALLBACK_MEMBERS)
+    @pytest.mark.parametrize("command", ["classify", "witness"])
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_fallback_member_weights_without_edge_index(self, name, command, output, monkeypatch):
+        # a girth <= 4 member's witness weights find their edges by bisection
+        argv = [command, "-", "--output", output]
+        stdin_text = format_edge_list(self.FALLBACK_MEMBERS[name])
+        unpatched = invoke(argv, stdin_text)
+        monkeypatch.setattr(Graph, "edge_index", property(lambda g: pytest.fail("edge_index built")))
+        assert invoke(argv, stdin_text) == unpatched
+
+    def test_fallback_member_golden_without_edge_index(self, monkeypatch):
+        monkeypatch.setattr(Graph, "edge_index", property(lambda g: pytest.fail("edge_index built")))
+        stdin_text = format_edge_list(self.FALLBACK_MEMBERS["c5_plus_k3"])
+        golden = json.loads((DATA_DIR / "cli_golden.json").read_text(encoding="utf-8"))
+        cases = [
+            c for c in golden if c["graph"] == "c5_plus_k3" and c["argv"][0] in ("classify", "witness")
+        ]
+        assert len(cases) == 4
+        for case in cases:
+            code, out, _ = invoke([case["argv"][0], "-", *case["argv"][1:]], stdin_text)
+            assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
 
 
 class TestCapAndVacuousJson:

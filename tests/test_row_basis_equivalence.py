@@ -7,14 +7,19 @@ as D has columns every later row reduces to zero, so on every matrix
 both must return the same ``(rows, pivots, used)``.  The generated
 matrices include full-rank ones, whose rank is reached before the last
 row, and ones made of many repeated and scaled copies of a few rows.
+The scan reads its rows one at a time: two more tests check that it
+requests no row after the one that completes the rank.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starfactor import simplex
+from starfactor import simplex, solver
+from starfactor.factors import enumerate_star_factors, incidence_vectors
+from starfactor.graph import Graph
 from starfactor.solver import _reduce_rows
 
 
@@ -78,3 +83,36 @@ def test_stops_at_full_rank():
     # the third row would change nothing: rows 0 and 1 already span Z^2
     d_rows = [[1, 0], [1, 1], [5, 7]]
     assert _reduce_rows(d_rows) == ([[1, 0], [0, 1]], [0, 1], [0, 1]) == reference_reduce_rows(d_rows)
+
+
+def test_scan_never_requests_a_row_after_full_rank():
+    def d_rows():
+        yield [1, 0]
+        yield [1, 1]
+        pytest.fail("a row after the full-rank row was requested")
+
+    assert _reduce_rows(d_rows()) == ([[1, 0], [0, 1]], [0, 1], [0, 1])
+
+
+def test_k7_decision_reads_only_the_rows_up_to_full_rank(monkeypatch):
+    # K7 has 847 star-factors, so D has 846 rows, and the basis reaches its
+    # full rank of 21 at the 187th; the decision forms no row after that
+    reads = []
+
+    def counting_reduce_rows(d_rows):
+        reads.append(0)
+
+        def counted():
+            for row in d_rows:
+                reads[-1] += 1
+                yield row
+
+        return _reduce_rows(counted())
+
+    monkeypatch.setattr(solver, "_reduce_rows", counting_reduce_rows)
+    k7 = Graph.from_edges(7, [(u, v) for u in range(7) for v in range(u + 1, 7)])
+    vectors = incidence_vectors(enumerate_star_factors(k7), k7.m)
+    outcome = solver.decide_uniform_weighting(vectors)
+    assert len(vectors) - 1 == 846
+    assert reads[0] == 187
+    assert solver.verify_outcome(vectors, outcome)

@@ -12,7 +12,6 @@ from starfactor.solver import (
     Weighting,
     Witness,
     decide_uniform_weighting,
-    difference_matrix,
     omega_oracle,
     verify_outcome,
 )
@@ -56,21 +55,6 @@ class TestSimplex:
             rhs=[2, 4],
         )
         assert value == 2
-
-
-class TestDifferenceMatrix:
-    def test_rows_are_differences_from_first(self):
-        vecs = [(1, 0, 1), (0, 1, 1), (1, 1, 0)]
-        assert difference_matrix(vecs) == [[-1, 1, 0], [0, 1, -1]]
-
-    def test_single_vector_gives_no_rows(self):
-        assert difference_matrix([(1, 1)]) == []
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            difference_matrix([])
-        with pytest.raises(ValueError):
-            difference_matrix([(1,), (1, 0)])
 
 
 class TestWeighting:
@@ -128,6 +112,12 @@ class TestDecision:
             outcome = decide_uniform_weighting(vecs)
             assert isinstance(outcome, Refutation)
             assert verify_outcome(vecs, outcome)
+
+    def test_errors(self):
+        with pytest.raises(ValueError):
+            decide_uniform_weighting([])
+        with pytest.raises(ValueError):
+            decide_uniform_weighting([(1,), (1, 0)])
 
 
 class TestVerifier:
