@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Walkthrough: cross-validating the classifier against the oracle.
 
-The census enumerates every connected labeled graph up to a given size,
-runs the brute-force oracle on each, and -- for graphs of girth at least
-five -- also runs the structural classifier, logging any disagreement.
+The census counts every connected labeled graph up to a given size.  It
+runs the brute-force oracle once per isomorphism class (and counts the
+class once per labeled copy) and -- for graphs of girth at least five --
+also runs the structural classifier, logging any disagreement.
 Zero disagreements over the exhaustive range is the empirical form of
 the classification theorem.  External graph6 lists extend the sweep to
 sizes where full enumeration is too large.

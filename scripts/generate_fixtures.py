@@ -14,21 +14,20 @@ adding an edge whose endpoints are already at distance <= 3 would close
 a cycle shorter than five, so that branch is cut.  For the min-degree-2
 lists a branch also dies as soon as some vertex can no longer reach
 degree two.  Labeled output is reduced to isomorphism-class
-representatives by invariant bucketing plus a backtracking isomorphism
-check.  Verdicts downstream are relabeling-invariant (and tested to be),
-so representatives suffice.
+representatives, the first labeled graph met of each class, by
+``graph.canonical_form``.  Verdicts downstream are relabeling-invariant
+(and tested to be), so representatives suffice.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from starfactor.graph import Graph, girth, to_graph6
+from starfactor.graph import Graph, canonical_form, to_graph6
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "tests" / "data"
 
@@ -103,65 +102,17 @@ def gen_girth5_connected(n: int, min_degree: int = 0):
     yield from rec(0, 0, [])
 
 
-def _invariant(g: Graph) -> tuple:
-    degs = sorted(g.degree(v) for v in range(g.n))
-    profile = sorted(
-        tuple(sorted(g.degree(u) for u in g.adjacency[v])) for v in range(g.n)
-    )
-    return (g.n, g.m, tuple(degs), girth(g).value, tuple(profile))
-
-
-def _isomorphic(a: Graph, b: Graph) -> bool:
-    if a.n != b.n or a.m != b.m:
-        return False
-    mapping = [-1] * a.n
-    used = [False] * b.n
-    deg_a = [a.degree(v) for v in range(a.n)]
-    deg_b = [b.degree(v) for v in range(b.n)]
-
-    def rec(v: int) -> bool:
-        if v == a.n:
-            return True
-        for w in range(b.n):
-            if used[w] or deg_b[w] != deg_a[v]:
-                continue
-            ok = True
-            for u in a.adjacency[v]:
-                if u < v and not b.has_edge(mapping[u], w):
-                    ok = False
-                    break
-            if ok:
-                for u in range(v):
-                    if u not in a.adjacency[v] and b.has_edge(mapping[u], w):
-                        ok = False
-                        break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if rec(v + 1):
-                    return True
-                used[w] = False
-                mapping[v] = -1
-        return False
-
-    return rec(0)
-
-
 def dedup(graphs) -> list[Graph]:
-    buckets: dict[tuple, list[Graph]] = {}
-    reps: list[Graph] = []
+    """The first labeled graph of each isomorphism class, in input order."""
+    reps: dict[Graph, Graph] = {}
     seen = 0
     for g in graphs:
         seen += 1
         if seen % 200000 == 0:
             print(f"  ... {seen} labeled graphs, {len(reps)} classes", flush=True)
-        key = _invariant(g)
-        bucket = buckets.setdefault(key, [])
-        if not any(_isomorphic(g, r) for r in bucket):
-            bucket.append(g)
-            reps.append(g)
+        reps.setdefault(canonical_form(g)[0], g)
     print(f"  {seen} labeled graphs total", flush=True)
-    return reps
+    return list(reps.values())
 
 
 def write_g6(path: Path, graphs: list[Graph]) -> None:

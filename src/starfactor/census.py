@@ -1,17 +1,25 @@
 """Exhaustive small-graph census: classifier vs oracle cross-validation.
 
-Built-in enumeration covers every connected labeled graph on up to seven
-vertices (all edge subsets, filtered to connected); larger graphs come
-in as graph6 lines.  For every graph of girth at least five both the
-structural classifier and the brute-force oracle run and any verdict
-mismatch is logged; graphs of smaller girth are decided by the oracle
-alone and only counted.
+The built-in census covers every connected labeled graph on up to seven
+vertices.  Membership, girth and uniformity do not depend on the
+labeling, so it decides one graph per isomorphism class (grown vertex by
+vertex, merged by ``graph.canonical_rows``) and counts it n!/|Aut G|
+times: the report is the labeled one.  Larger graphs come in as graph6
+lines, each decided as given.  For every graph of girth at least five
+both the structural classifier and the brute-force oracle run and any
+verdict mismatch is logged, once per labeled copy; graphs of smaller
+girth are decided by the oracle alone and only counted.
+
+``generate_connected`` and ``generate_connected_girth5`` still list the
+labeled graphs themselves, in edge-mask order.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import math
 import multiprocessing
 import os
 from dataclasses import dataclass, field
@@ -20,7 +28,7 @@ from typing import Iterable, Iterator
 from . import __version__
 from .classifier import classify
 from .factors import DEFAULT_CAP
-from .graph import Girth, Graph, girth, parse_graph6, to_graph6
+from .graph import Girth, Graph, canonical_rows, girth, graph_from_rows, parse_graph6, to_graph6
 from .solver import Verdict, omega_oracle
 
 MAX_BUILTIN_N = 7
@@ -193,12 +201,57 @@ def evaluate_graph(
     )
 
 
-def _worker(item: tuple[int, int] | str, cap: int, girth_min: int | None) -> _Record | None:
-    """Decide one work item: an (n, edge mask) pair or a graph6 line."""
-    if isinstance(item, str):
-        g = parse_graph6(item)
-    else:
-        g = _graph_from_mask(*item)
+def _connected_classes(n_max: int, girth_min: int | None) -> dict[int, list[tuple[Graph, int]]]:
+    """Isomorphism classes of connected graphs on 1..n_max vertices with
+    girth at least ``girth_min``, each as (canonical graph, n!/|Aut G|).
+
+    Every connected graph keeps connected when a leaf of a spanning tree
+    is removed, and girth >= k holds for every induced subgraph, so each
+    kept class on n vertices arises from a kept class on n - 1 vertices
+    by adding a vertex joined to a nonempty subset; the canonical form
+    merges the copies that arise more than once.
+    """
+    level = [(0,)]
+    classes = {0: [(Graph(0, ()), 1)], 1: [(Graph(1, ()), 1)]}
+    for n in range(2, n_max + 1):
+        found: dict[tuple[int, ...], int] = {}
+        for rows in level:
+            for subset in range(1, 1 << (n - 1)):
+                grown = [r | (subset >> v & 1) << (n - 1) for v, r in enumerate(rows)]
+                form, automorphisms = canonical_rows([*grown, subset])
+                found.setdefault(form, automorphisms)
+        classes[n] = []
+        level = []
+        for form, automorphisms in found.items():
+            g = graph_from_rows(form)
+            if girth_min is None or girth(g).at_least(girth_min):
+                classes[n].append((g, math.factorial(n) // automorphisms))
+                level.append(form)
+    return classes
+
+
+def _labeled_masks(g: Graph) -> set[int]:
+    """Edge masks of every labeled copy of g."""
+    index = {p: i for i, p in enumerate(_pairs(g.n))}
+    return {
+        sum(1 << index[(min(p[u], p[v]), max(p[u], p[v]))] for u, v in g.edges)
+        for p in itertools.permutations(range(g.n))
+    }
+
+
+def _enumeration_key(n: int, mask: int, girth_min: int | None) -> int:
+    """Sort key of the labeled enumeration's order: increasing masks, or,
+    under girth_min >= 5, the pruned search's order, which leaves edge
+    slot i out before it puts it in, so the lowest slot varies slowest."""
+    if girth_min is None or girth_min < 5:
+        return mask
+    return int(format(mask, f"0{len(_pairs(n))}b")[::-1], 2)
+
+
+def _worker(item: tuple[int, Graph, int] | str, cap: int, girth_min: int | None) -> _Record | None:
+    """Decide one work item: a graph6 line, or an isomorphism class as
+    (place of its n in ``ns``, canonical graph, labeled copies)."""
+    g = parse_graph6(item) if isinstance(item, str) else item[1]
     return evaluate_graph(g, cap, girth_min)
 
 
@@ -211,61 +264,73 @@ def cross_validate(
 ) -> CensusResult:
     """Census over the built-in range plus any external graph6 graphs.
 
-    ``ns`` selects built-in sizes (n <= 7); ``girth_min`` skips graphs of
-    smaller girth before deciding them (girth_min >= 5 uses the pruned
-    girth-5 generator).  ``workers`` = 0 means one per CPU.  Results are
-    merged in generation order regardless of worker count.
+    ``ns`` selects built-in sizes (n <= 7), each decided once per
+    isomorphism class and counted once per labeled copy; ``girth_min``
+    skips graphs of smaller girth before deciding them.  ``workers`` = 0
+    means one per CPU.  Results are merged in generation order regardless
+    of worker count.
     """
-
-    def items() -> Iterator[tuple[int, int] | str]:
-        for n in ns:
-            if girth_min is not None and girth_min >= 5:
-                masks = _girth5_connected_masks(n)
-            else:
-                masks = _connected_masks(n)
-            for mask in masks:
-                yield (n, mask)
-        for line in graph6_lines:
-            line = line.strip()
-            if line:
-                yield line
-
+    ns = list(ns)
+    classes = _connected_classes(max(ns), girth_min) if ns else {}
+    items: list[tuple[int, Graph, int] | str] = [
+        (place, g, copies) for place, n in enumerate(ns) for g, copies in classes[n]
+    ]
+    items.extend(line for line in map(str.strip, graph6_lines) if line)
     work = functools.partial(_worker, cap=cap, girth_min=girth_min)
     # the results are the same for any worker count, so more workers than
-    # CPUs would only cost processes
+    # CPUs or work items would only cost processes
     cpus = os.cpu_count() or 1
-    workers = min(workers or cpus, cpus)
+    workers = min(workers or cpus, cpus, len(items))
     if workers > 1:
+        # as Pool.map sizes them: about four chunks per worker
+        chunksize = -(-len(items) // (4 * workers))
         pool = multiprocessing.Pool(workers)
         try:
-            result = _accumulate(pool.imap(work, items(), chunksize=256))
+            result = _accumulate(zip(items, pool.imap(work, items, chunksize=chunksize)), girth_min)
         finally:
             pool.close()
             pool.join()
         return result
-    return _accumulate(map(work, items()))
+    return _accumulate(zip(items, map(work, items)), girth_min)
 
 
-def _accumulate(records: Iterable[_Record | None]) -> CensusResult:
+def _accumulate(
+    decided: Iterable[tuple[tuple[int, Graph, int] | str, _Record | None]], girth_min: int | None
+) -> CensusResult:
+    """Rows and disagreements of the labeled census: a class counts once
+    per labeled copy, and a disagreeing class lists every copy, ordered
+    as the labeled enumeration would meet them (by n's place in ``ns``,
+    then ``_enumeration_key``), before the graph6 lines."""
     table: dict[tuple[int, str], CensusRow] = {}
-    disagreements: list[Disagreement] = []
-    for rec in records:
+    labeled: list[tuple[int, int, Disagreement]] = []
+    external: list[Disagreement] = []
+    for item, rec in decided:
         if rec is None:
             continue
+        copies = 1 if isinstance(item, str) else item[2]
         key = (rec.n, rec.girth_class)
         row = table.get(key)
         if row is None:
             row = table[key] = CensusRow(n=rec.n, girth_class=rec.girth_class)
-        row.graph_count += 1
-        row.omega_members += rec.omega_member
-        row.u_members += rec.u_member
-        row.cap_exceeded += rec.cap_exceeded
-        if rec.disagreement is not None:
-            row.disagreements += 1
-            disagreements.append(rec.disagreement)
+        row.graph_count += copies
+        row.omega_members += copies * rec.omega_member
+        row.u_members += copies * rec.u_member
+        row.cap_exceeded += copies * rec.cap_exceeded
+        d = rec.disagreement
+        if d is None:
+            continue
+        row.disagreements += copies
+        if isinstance(item, str):
+            external.append(d)
+            continue
+        place, g, _ = item
+        for mask in _labeled_masks(g):
+            copy = Disagreement(to_graph6(_graph_from_mask(g.n, mask)), d.oracle_verdict, d.classifier_verdict)
+            labeled.append((place, _enumeration_key(g.n, mask, girth_min), copy))
     order = {c: i for i, c in enumerate(GIRTH_CLASSES)}
     rows = sorted(table.values(), key=lambda r: (r.n, order[r.girth_class]))
-    return CensusResult(rows=rows, disagreements=disagreements)
+    labeled.sort(key=lambda entry: entry[:2])
+    return CensusResult(rows=rows, disagreements=[d for *_, d in labeled] + external)
 
 
 def report(result: CensusResult, fmt: str = "text", cap: int = DEFAULT_CAP) -> str:

@@ -317,11 +317,7 @@ def classification_to_json(g: Graph, cls: Classification) -> dict:
         )
     refutation = None
     if cls.refutation is not None:
-        certificate = certificate_json(cls.refutation)
-        refutation = {"certificate": certificate}
-        if len(certificate["coeffs"]) == 1:
-            # a single row means one factor's edges strictly contain another's
-            refutation["factorPair"] = [0, certificate["coeffs"][0][0] + 1]
+        refutation = {"certificate": certificate_json(cls.refutation)}
     return {
         "verdict": cls.verdict.value,
         "route": cls.route.value,

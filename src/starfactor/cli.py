@@ -7,6 +7,7 @@ star-factors), 4 factor cap exceeded, 1 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -91,13 +92,33 @@ def _parse_range(spec: str) -> list[int]:
     return list(range(first, last + 1))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that prints its help, version, usage and error
+    messages to the given streams instead of ``sys.stdout``/``sys.stderr``;
+    its exits still raise SystemExit."""
+
+    def __init__(self, *args, out: TextIO, err: TextIO, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.out, self.err = out, err
+
+    def _print_message(self, message: str, file: TextIO | None = None) -> None:
+        # argparse names sys.stdout for help and version text and
+        # sys.stderr (or nothing) for usage errors
+        if message:
+            (self.out if file is sys.stdout else self.err).write(message)
+
+
+def build_parser(out: TextIO | None = None, err: TextIO | None = None) -> argparse.ArgumentParser:
+    streams = {"out": out or sys.stdout, "err": err or sys.stderr}
+    parser = _Parser(
         prog="starfactor",
         description="Decide whether a graph admits a uniform star-factor weighting.",
+        **streams,
     )
     parser.add_argument("--version", action="version", version=f"starfactor {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=functools.partial(_Parser, **streams)
+    )
 
     def add_graph_command(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
@@ -132,7 +153,7 @@ def run(
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     inp = stdin if stdin is not None else sys.stdin
-    parser = build_parser()
+    parser = build_parser(out, err)
     try:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:

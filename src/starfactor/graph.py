@@ -162,13 +162,6 @@ def parse_edge_list(text: str) -> Graph:
     return Graph.from_edges(n, pairs)
 
 
-def format_edge_list(g: Graph) -> str:
-    """Inverse of parse_edge_list."""
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
-
-
 _G6_PREFIX = ">>graph6<<"
 
 
@@ -215,19 +208,103 @@ def to_graph6(g: Graph) -> str:
     """Encode a graph as graph6 (n <= 62)."""
     if g.n > 62:
         raise Graph6Error(f"graph6 encoding limited to n <= 62, got n={g.n}")
-    bits = []
-    for v in range(1, g.n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(g.n + 63)]
-    for i in range(0, len(bits), 6):
-        value = 0
-        for bit in bits[i:i + 6]:
-            value = (value << 1) | bit
-        out.append(chr(value + 63))
-    return "".join(out)
+    # pair (u, v), u < v, is bit v(v-1)/2 + u of the stream, read from the
+    # most significant end and padded with zeros to whole 6-bit bytes
+    nbytes = (g.n * (g.n - 1) // 2 + 5) // 6
+    bits = 0
+    for u, v in g.edges:
+        bits |= 1 << (6 * nbytes - 1 - (v * (v - 1) // 2 + u))
+    return chr(g.n + 63) + "".join(chr((bits >> 6 * i & 63) + 63) for i in reversed(range(nbytes)))
+
+
+def _refine(rows: Sequence[int], cells: list[list[int]]) -> list[list[int]]:
+    """Equitable refinement of an ordered partition of the vertices.
+
+    Each round splits every cell by the number of neighbors each vertex
+    has in each cell, fragments ordered by that count vector, until a
+    round splits nothing.  Nothing depends on vertex names, so relabeling
+    the graph relabels the result.
+    """
+    while True:
+        masks = []
+        for cell in cells:
+            mask = 0
+            for v in cell:
+                mask |= 1 << v
+            masks.append(mask)
+        refined = []
+        for cell in cells:
+            if len(cell) == 1:
+                refined.append(cell)
+                continue
+            split: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                row = rows[v]
+                split.setdefault(tuple([(row & m).bit_count() for m in masks]), []).append(v)
+            if len(split) == 1:
+                refined.append(cell)
+            else:
+                refined.extend(split[key] for key in sorted(split))
+        if len(refined) == len(cells):
+            return cells
+        cells = refined
+
+
+def canonical_rows(rows: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """Canonical form and automorphism count of the graph whose vertex v
+    has neighbor bitmask ``rows[v]``.
+
+    Colour refinement plus a full individualization search (McKay &
+    Piperno, "Practical graph isomorphism II", 2014): below each node the
+    smallest non-singleton cell (the first of them) has each of its
+    vertices individualized in turn, and every leaf is a discrete
+    partition, read as a labeling.  The form is the greatest relabeled
+    bitmask tuple over the leaves.  With no pruning, automorphisms permute
+    the leaves freely and leaves with the same relabeled graph differ by
+    one, so |Aut| leaves reach the form.  The search therefore takes at
+    least |Aut| steps (n! on K_n): it is meant for small graphs.
+    """
+    n = len(rows)
+    neighbors = [[w for w in range(n) if row >> w & 1] for row in rows]
+    best: tuple[int, ...] = ()
+    count = 0
+    stack = [_refine(rows, [list(range(n))])]
+    while stack:
+        cells = stack.pop()
+        if len(cells) == n:
+            position = [0] * n
+            for i, (v,) in enumerate(cells):
+                position[v] = i
+            form = tuple([sum([1 << position[w] for w in neighbors[v]]) for (v,) in cells])
+            if form > best:
+                best, count = form, 1
+            elif form == best:
+                count += 1
+            continue
+        _, target = min((len(cell), i) for i, cell in enumerate(cells) if len(cell) > 1)
+        cell = cells[target]
+        for v in cell:
+            rest = [w for w in cell if w != v]
+            stack.append(_refine(rows, cells[:target] + [[v], rest] + cells[target + 1:]))
+    return best, count
+
+
+def canonical_form(g: Graph) -> tuple[Graph, int]:
+    """The canonical relabeling of g, equal for isomorphic graphs, and
+    |Aut g|: g has n!/|Aut g| distinct labelings."""
+    rows = [0] * g.n
+    for u, v in g.edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    form, automorphisms = canonical_rows(rows)
+    return graph_from_rows(form), automorphisms
+
+
+def graph_from_rows(rows: Sequence[int]) -> Graph:
+    """The graph whose vertex v has neighbor bitmask ``rows[v]``."""
+    return Graph(
+        len(rows), tuple((u, v) for u in range(len(rows)) for v in range(u + 1, len(rows)) if rows[u] >> v & 1)
+    )
 
 
 def girth(g: Graph) -> Girth:

@@ -21,6 +21,13 @@ DATA_DIR = Path(__file__).parent / "data"
 
 # ---------------------------------------------------------------- builders
 
+def format_edge_list(g: Graph) -> str:
+    """Inverse of ``parse_edge_list``."""
+    lines = [f"{g.n} {g.m}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges)
+    return "\n".join(lines) + "\n"
+
+
 def cycle(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
@@ -208,6 +215,14 @@ def _bfs_dist_without_edge(g: Graph, src: int, dst: int, skip: int) -> int | Non
                     return dist[y]
                 queue.append(y)
     return dist.get(dst)
+
+
+# --------------------------------------------------------------- the CLI
+
+def is_usage_error(stderr: str) -> bool:
+    """The CLI's own ``error: ...`` line, or argparse's usage message
+    followed by ``<prog>: error: ...``."""
+    return stderr.startswith("error: ") or (stderr.startswith("usage: ") and ": error: " in stderr)
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 
 import pytest
 
@@ -15,7 +16,7 @@ from starfactor.census import (
     generate_connected_girth5,
     report,
 )
-from starfactor.graph import Graph, girth, parse_graph6, to_graph6
+from starfactor.graph import Graph, canonical_form, girth, parse_graph6, to_graph6
 
 from conftest import DATA_DIR, cycle, path, petersen
 
@@ -124,8 +125,13 @@ class TestCrossValidate:
 
         monkeypatch.setattr("starfactor.census.omega_oracle", recording_oracle)
         filtered = cross_validate(ns=[5], girth_min=4)
+        # one graph per isomorphism class is decided, and it stands for
+        # its 5!/|Aut G| labeled copies
+        forms = [canonical_form(g) for g in decided]
+        assert len({form for form, _ in forms}) == len(decided)
         assert all(girth(g).at_least(4) for g in decided)
-        assert len(decided) == sum(r.graph_count for r in filtered.rows)
+        copies = sum(math.factorial(5) // automorphisms for _, automorphisms in forms)
+        assert copies == sum(r.graph_count for r in filtered.rows)
         assert filtered.rows == [r for r in unfiltered.rows if r.girth_class != "3"]
 
     def test_worker_count_does_not_change_result(self):
@@ -157,6 +163,40 @@ class TestCrossValidate:
         for workers in (100_000, 0):
             assert cross_validate(ns=[4], workers=workers).rows == expected
         assert sizes == [2, 2]
+
+    def test_worker_count_clamped_to_work_items(self, monkeypatch):
+        # a stub pool that records its size and chunk size and starts no process
+        pools = []
+
+        class StubPool:
+            def __init__(self, processes):
+                pools.append([processes])
+
+            def imap(self, func, iterable, chunksize=1):
+                pools[-1].append(chunksize)
+                return map(func, iterable)
+
+            def close(self):
+                pass
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr("starfactor.census.multiprocessing.Pool", StubPool)
+        monkeypatch.setattr("starfactor.census.os.cpu_count", lambda: 8)
+        # one work item (the one class on two vertices, or one graph6 line)
+        # and no work item start no pool
+        assert cross_validate(ns=[2], workers=8).rows[0].graph_count == 1
+        assert cross_validate(graph6_lines=[to_graph6(cycle(5))], workers=0).rows[0].graph_count == 1
+        assert cross_validate(graph6_lines=["", " "], workers=8).rows == []
+        assert pools == []
+        # the 2 classes on three vertices and 3 graph6 lines: 5 items, 5
+        # workers, one item a chunk; the 21 + 112 classes on five and six
+        # vertices: 8 workers, chunks of ceil(133 / 32) = 5
+        lines = [to_graph6(g) for g in (cycle(5), cycle(6), path(4))]
+        assert sum(r.graph_count for r in cross_validate(ns=[3], graph6_lines=lines, workers=0).rows) == 7
+        assert sum(r.graph_count for r in cross_validate(ns=[5, 6], workers=100).rows) == 728 + 26704
+        assert pools == [[5, 1], [8, 5]]
 
     def test_uniform_subset_of_members_on_every_row(self):
         result = cross_validate(ns=[4, 5])

@@ -13,9 +13,9 @@ from starfactor.cli import (
     EXIT_VACUOUS,
     run,
 )
-from starfactor.graph import Graph, format_edge_list, to_graph6
+from starfactor.graph import Graph, to_graph6
 
-from conftest import DATA_DIR, cycle, disjoint_union, path, star
+from conftest import DATA_DIR, cycle, disjoint_union, format_edge_list, path, star
 
 
 def invoke(argv, stdin_text=""):
@@ -349,3 +349,31 @@ class TestErrorsAndConfig:
         code, _, err = invoke(["census", "-n", "abc"])
         assert code == EXIT_USAGE
         assert err.startswith("error:") and "'abc' is not N or MIN..MAX" in err
+
+
+class TestArgparseStreams:
+    """argparse's own output goes to the streams that ``run`` was given."""
+
+    def test_usage_error_on_given_stderr(self, c5_file, capsys):
+        code, out, err = invoke(["oracle", c5_file, "--cap", "x"])
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("usage: starfactor oracle")
+        assert "error: argument --cap: invalid int value: 'x'" in err
+        assert capsys.readouterr() == ("", "")
+
+    def test_help_on_given_stdout(self, capsys):
+        code, out, err = invoke(["--help"])
+        assert code == 0 and err == ""
+        assert out.startswith("usage: starfactor") and "census" in out
+        assert capsys.readouterr() == ("", "")
+
+    def test_subcommand_help_on_given_stdout(self, capsys):
+        code, out, err = invoke(["census", "--help"])
+        assert code == 0 and err == ""
+        assert out.startswith("usage: starfactor census") and "--girth-min" in out
+        assert capsys.readouterr() == ("", "")
+
+    def test_version_on_given_stdout(self, capsys):
+        code, out, err = invoke(["--version"])
+        assert (code, out, err) == (0, "starfactor 0.1.0\n", "")
+        assert capsys.readouterr() == ("", "")

@@ -6,8 +6,9 @@ truncated or padded graph6 strings (n <= 10) and edge lists whose counts
 are huge, negative or not integers and whose edge lines are out of range
 or malformed.  Every run must return one of the documented exit codes
 0-4 without raising, and a JSON run that decided something must print
-JSON.  The inputs stay small: ``--cap`` at most 1000, at most 8 edge
-lines, and no census or process pool.
+JSON.  A ``--cap`` that is not an integer must give argparse's usage
+error on the given stderr.  The inputs stay small: ``--cap`` at most
+1000, at most 8 edge lines, and no census or process pool.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from hypothesis import strategies as st
 
 from starfactor.cli import EXIT_USAGE, run
 from starfactor.graph import Graph, to_graph6
+
+from conftest import is_usage_error
 
 COMMANDS = ("girth", "factors", "oracle", "classify", "witness")
 
@@ -63,7 +66,7 @@ def graph6_strings(draw) -> str:
 @given(
     command=st.sampled_from(COMMANDS),
     output=st.sampled_from(["text", "json"]),
-    cap=st.integers(min_value=-2, max_value=1000),
+    cap=st.one_of(st.integers(min_value=-2, max_value=1000).map(str), st.sampled_from(["x", "", "1.5", "--1"])),
     stdin=st.one_of(
         st.tuples(st.just("edgelist"), st.one_of(st.text(max_size=40), edge_lists())),
         st.tuples(st.just("graph6"), st.one_of(st.text(max_size=12), graph6_strings())),
@@ -73,10 +76,11 @@ def graph6_strings(draw) -> str:
 def test_graph_commands_exit_cleanly_on_any_stdin(command, output, cap, stdin):
     fmt, text = stdin
     out, err = io.StringIO(), io.StringIO()
-    argv = [command, "-", "--format", fmt, "--cap", str(cap), "--output", output]
+    argv = [command, "-", "--format", fmt, "--cap", cap, "--output", output]
     code = run(argv, stdout=out, stderr=err, stdin=io.StringIO(text))
     assert code in (0, 1, 2, 3, 4)
     if code == EXIT_USAGE:
-        assert err.getvalue().startswith("error: ")
+        # an unparsable --cap is argparse's usage error, on the same stream
+        assert is_usage_error(err.getvalue())
     elif output == "json":
         json.loads(out.getvalue())

@@ -18,9 +18,9 @@ import json
 import pytest
 
 from starfactor.cli import run
-from starfactor.graph import Graph, format_edge_list
+from starfactor.graph import Graph
 
-from conftest import DATA_DIR, cycle, disjoint_union, double_star_graph, path
+from conftest import DATA_DIR, cycle, disjoint_union, double_star_graph, format_edge_list, path
 
 GOLDEN = DATA_DIR / "cli_golden.json"
 

@@ -14,14 +14,13 @@ from starfactor.graph import (
     VertexRangeError,
     classify_vertices,
     connected_components,
-    format_edge_list,
     girth,
     parse_edge_list,
     parse_graph6,
     to_graph6,
 )
 
-from conftest import brute_girth, cycle, disjoint_union, path, petersen, star
+from conftest import brute_girth, cycle, disjoint_union, format_edge_list, path, petersen, star
 
 
 class TestConstruction:
