@@ -117,9 +117,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edge_index
-
     def has_isolated_vertex(self) -> bool:
         # fewer than n/2 edges cannot touch every vertex: decided without
         # building the adjacency, however large n is

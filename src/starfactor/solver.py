@@ -13,8 +13,12 @@ floating point.  It goes in this order:
    basis B of its row space (primitive rows, positive pivots).  D is
    never stored: each row is formed only as the scan reads it, and the
    scan ends once B has full rank m, which on K7 is after 187 of its
-   846 rows.  A one-signed row of B is nonnegative and nonzero, and no
-   positive w is orthogonal to it: it is the certificate.
+   846 rows.  A row is reduced against B on B's free (non-pivot)
+   columns only, where one combination decides whether it lies in the
+   span of B (166 of K7's 187 rows do); only a row that enters B is
+   written out in full.  A one-signed row of B is nonnegative and
+   nonzero, and no positive w is orthogonal to it: it is the
+   certificate.
 3. Otherwise LP1,
 
      maximize t  subject to  B w = 0,  w_e >= t,  w_e <= 1,
@@ -26,7 +30,9 @@ floating point.  It goes in this order:
 
 Only for a certificate are its coefficients on the rows of D recovered,
 from one small square system read off the incidence vectors, so that
-the certificate is checkable without trusting the simplex.
+the certificate is checkable without trusting the simplex:
+``verify_outcome`` re-checks a witness or a certificate from the
+incidence vectors alone, in integer sums.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import simplex
@@ -130,7 +137,7 @@ class OracleResult:
     factor_count: int | None = None
 
 
-def _reduce_rows(d_rows: Iterable[list[int]]) -> tuple[list[list[int]], list[int], list[int]]:
+def _reduce_rows(d_rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int], list[int]]:
     """Fraction-free row basis of the row space of D.
 
     Returns (rows, pivots, used): each row is a primitive integer row,
@@ -138,21 +145,43 @@ def _reduce_rows(d_rows: Iterable[list[int]]) -> tuple[list[list[int]], list[int
     columns, and used[j] is the index of the D row that entered the basis
     as row j.  Dividing each row by its pivot entry gives the unique
     reduced basis of the row space with identity on the pivot columns.
-    The rows are read one at a time, and the scan stops as soon as the
-    basis has as many rows as D has columns: the basis then spans every
-    row, so each later row would reduce to zero and is never requested.
+
+    Since every basis row b_j is zero at the other rows' pivots p_k, an
+    incoming row x reduces to the one combination
+    L x - sum_j (L x[p_j] / b_j[p_j]) b_j, with L the lcm of the pivot
+    entries, and that combination is zero on every pivot column.  So it
+    is computed on the free (non-pivot) columns only, and the row is
+    skipped when it is zero there; only a row that enters is written out
+    in full, made primitive and cleared from the basis.  The rows are
+    read one at a time, and the scan stops as soon as the basis has as
+    many rows as D has columns: the basis then spans every row, so each
+    later row would reduce to zero and is never requested.
     """
     rows: list[list[int]] = []
     pivots: list[int] = []
     used: list[int] = []
-    for i, raw in enumerate(d_rows):
-        row = list(raw)
-        for brow, p in zip(rows, pivots):
-            if row[p]:
-                row = simplex.eliminate(row, brow, p)
-        pivot = next((k for k, x in enumerate(row) if x), None)
-        if pivot is None:
+    free: list[int] = []
+    cols: list[tuple[int, ...]] = []  # the basis rows' entries in each free column
+    lcm = 1
+    multipliers: list[int] = []  # lcm // b_j[p_j]
+    for i, x in enumerate(d_rows):
+        if rows:
+            # ks[j] = L x[p_j] / b_j[p_j]
+            ks = [x[p] for p in pivots]
+            if lcm > 1:
+                ks = [k * c for k, c in zip(ks, multipliers)]
+            values = [lcm * x[f] - sum(map(mul, ks, col)) for f, col in zip(free, cols)]
+            if not any(values):
+                continue
+            row = [0] * len(x)
+            for f, v in zip(free, values):
+                row[f] = v
+        elif any(x):
+            row = list(x)
+            free = list(range(len(x)))
+        else:
             continue
+        pivot = next(k for k, v in enumerate(row) if v)
         row = simplex.primitive(row, pivot)
         # clear the new pivot column from the existing basis rows
         for j, brow in enumerate(rows):
@@ -163,6 +192,12 @@ def _reduce_rows(d_rows: Iterable[list[int]]) -> tuple[list[list[int]], list[int
         used.append(i)
         if len(rows) == len(row):
             break
+        free.remove(pivot)
+        heads = [brow[p] for brow, p in zip(rows, pivots)]
+        lcm = math.lcm(*heads)
+        multipliers = [lcm // h for h in heads]
+        columns = list(zip(*rows))
+        cols = [columns[f] for f in free]
     return rows, pivots, used
 
 
@@ -285,33 +320,48 @@ def decide_uniform_weighting(vectors: Sequence[IncidenceVector]) -> FeasibilityO
 
 
 def verify_outcome(vectors: Sequence[IncidenceVector], outcome: FeasibilityOutcome) -> bool:
-    """Independent exact re-check of the Witness/Refutation invariants."""
-    if not vectors:
+    """Independent exact re-check of the Witness/Refutation invariants.
+
+    It reads only the vectors and the outcome.  A Witness's weights, or a
+    Refutation's nonzero coefficients, are scaled by L, the lcm of their
+    denominators; every sum is taken in ints and compared with L times
+    the stated common weight or forced-zero entry.  Vectors of unequal
+    lengths are rejected.
+    """
+    if not vectors or len(set(map(len, vectors))) != 1:
         return False
     m = len(vectors[0])
     if isinstance(outcome, Witness):
         w = outcome.weighting.weights
         if len(w) != m or any(x <= ZERO for x in w):
             return False
-        for vec in vectors:
-            if sum(wi for wi, bit in zip(w, vec) if bit) != outcome.common_weight:
-                return False
-        return True
+        scale = math.lcm(*(x.denominator for x in w))
+        ints = [x.numerator * (scale // x.denominator) for x in w]
+        common = outcome.common_weight
+        target, rest = divmod(common.numerator * scale, common.denominator)
+        return not rest and all(sum(map(mul, ints, vec)) == target for vec in vectors)
     if isinstance(outcome, Refutation):
         if len(outcome.coeffs) != len(vectors) - 1:
             return False
         if len(outcome.forced_zero) != m:
             return False
-        forced = [ZERO] * m
-        first = vectors[0]
-        for coeff, vec in zip(outcome.coeffs, vectors[1:]):
-            if coeff == ZERO:
-                continue
-            for e in range(m):
-                forced[e] += coeff * (vec[e] - first[e])
-        if tuple(forced) != outcome.forced_zero:
+        terms = [(c, vec) for c, vec in zip(outcome.coeffs, vectors[1:]) if c]
+        if not terms:
             return False
-        return all(x >= ZERO for x in forced) and any(x > ZERO for x in forced)
+        scale = math.lcm(*(c.denominator for c, _ in terms))
+        ints = [c.numerator * (scale // c.denominator) for c, _ in terms]
+        total = sum(ints)
+        # scale * forced_zero = sum_i ints_i * x_i - (sum_i ints_i) * x_1
+        forced = [
+            sum(map(mul, ints, column)) - total * x
+            for column, x in zip(zip(*(vec for _, vec in terms)), vectors[0])
+        ]
+        if any(
+            stated.numerator * scale != value * stated.denominator
+            for stated, value in zip(outcome.forced_zero, forced)
+        ):
+            return False
+        return all(x >= 0 for x in forced) and any(forced)
     return False
 
 

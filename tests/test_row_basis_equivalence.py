@@ -1,14 +1,20 @@
-"""The row basis with its full-rank stop against the scan it replaced.
+"""The row basis against the full-width elimination it replaced.
 
-``reference_reduce_rows`` below is the earlier ``solver._reduce_rows``,
-kept verbatim apart from its name, which reduced every row of D even
-after the basis had reached full rank.  Once the basis has as many rows
-as D has columns every later row reduces to zero, so on every matrix
-both must return the same ``(rows, pivots, used)``.  The generated
-matrices include full-rank ones, whose rank is reached before the last
-row, and ones made of many repeated and scaled copies of a few rows.
-The scan reads its rows one at a time: two more tests check that it
-requests no row after the one that completes the rank.
+``reference_reduce_rows`` below is an earlier ``solver._reduce_rows``,
+kept verbatim apart from its name.  It eliminates every incoming row
+against every basis row over all columns, and it reduces every row of D
+even after the basis has reached full rank.  ``_reduce_rows`` computes
+one combination on the non-pivot columns only and stops at full rank;
+once the basis has as many rows as D has columns every later row
+reduces to zero, so on every matrix both must return the same
+``(rows, pivots, used)``.  The generated matrices are up to 21 columns
+wide (K7 has 21 edges) with entries up to 5 in absolute value.  They
+include full-rank ones, whose rank is reached before the last row, ones
+made of many repeated and scaled copies of a few rows, and ones whose
+basis has pivot entries above 1, so that incoming rows are rescaled by
+the lcm of the pivot entries.  The scan reads its rows one at a time:
+two more tests check that it requests no row after the one that
+completes the rank.
 """
 
 from __future__ import annotations
@@ -54,14 +60,26 @@ def reference_reduce_rows(d_rows: list[list[int]]) -> tuple[list[list[int]], lis
     return rows, pivots, used
 
 
+KINDS = ["random", "full_rank", "repeated", "fractional"]
+
+
 @st.composite
-def matrices(draw) -> list[list[int]]:
-    width = draw(st.integers(min_value=0, max_value=8))
-    row = st.lists(st.integers(min_value=-3, max_value=3), min_size=width, max_size=width)
-    kind = draw(st.sampled_from(["random", "full_rank", "repeated"]))
+def matrices(draw, kinds=KINDS) -> list[list[int]]:
+    kind = draw(st.sampled_from(kinds))
+    width = draw(st.integers(min_value=2 if kind == "fractional" else 0, max_value=21))
+    row = st.lists(st.integers(min_value=-5, max_value=5), min_size=width, max_size=width)
     if kind == "random":
         return draw(st.lists(row, max_size=20))
-    base = draw(st.lists(row, min_size=1, max_size=4))
+    if kind == "fractional":
+        # rows d_j e_{c_j} + e_last: their reduced basis has 1/d_j in the
+        # last column, so the primitive basis rows have pivot entries d_j
+        columns = draw(st.lists(st.integers(min_value=0, max_value=width - 2), min_size=1, unique=True))
+        base = [
+            [draw(st.integers(min_value=2, max_value=5)) * (k == c) + (k == width - 1) for k in range(width)]
+            for c in columns
+        ]
+    else:
+        base = draw(st.lists(row, min_size=1, max_size=4))
     if kind == "full_rank":
         # scaled unit rows guarantee rank = width; more rows follow them
         base += [[draw(st.sampled_from([-2, -1, 1, 3])) * (k == j) for k in range(width)] for j in range(width)]
@@ -76,6 +94,26 @@ def matrices(draw) -> list[list[int]]:
 @given(matrices())
 @settings(max_examples=500, deadline=None)
 def test_same_basis_as_reference(d_rows):
+    assert _reduce_rows(d_rows) == reference_reduce_rows(d_rows)
+
+
+@given(matrices(kinds=["fractional"]))
+@settings(max_examples=100, deadline=None)
+def test_fractional_kind_has_pivot_entries_above_one(d_rows):
+    rows, pivots, _ = _reduce_rows(d_rows)
+    assert max(row[p] for row, p in zip(rows, pivots)) > 1
+
+
+def test_rows_rescaled_by_the_pivot_lcm():
+    # the basis [2, 0, 1], [0, 3, 1] has pivot entries 2 and 3: each later
+    # row is multiplied by 6 before the basis rows are subtracted, and all
+    # three reduce to zero
+    d_rows = [[2, 0, 1], [0, 3, 1], [2, 3, 2], [4, -3, 1], [6, 6, 5]]
+    expected = ([[2, 0, 1], [0, 3, 1]], [0, 1], [0, 1])
+    assert _reduce_rows(d_rows) == expected == reference_reduce_rows(d_rows)
+    # [1, 1, 1] reduces to 6 [1, 1, 1] - 3 [2, 0, 1] - 2 [0, 3, 1] = [0, 0, 1]
+    d_rows.append([1, 1, 1])
+    assert _reduce_rows(d_rows) == ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 1, 2], [0, 1, 5])
     assert _reduce_rows(d_rows) == reference_reduce_rows(d_rows)
 
 

@@ -1,11 +1,15 @@
 """Exact-rational feasibility oracle and certificate checking."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starfactor import simplex
 from starfactor.factors import enumerate_star_factors, incidence_vectors
+from starfactor.graph import Graph
 from starfactor.solver import (
     Refutation,
     Verdict,
@@ -153,6 +157,143 @@ class TestVerifier:
     def test_rejects_empty_vectors(self):
         assert not verify_outcome([], Witness(Weighting(()), Fraction(0)))
 
+    @pytest.mark.parametrize("vectors", [[(1, 0), (1,)], [(1, 0), (1, 0, 1)]])
+    def test_rejects_ragged_vectors_witness(self, vectors):
+        # a pairwise zip would cut the longer vector to the weighting's length
+        assert not verify_outcome(vectors, Witness(Weighting((1, 1)), 1))
+
+    @pytest.mark.parametrize("vectors", [[(0, 0), (1,)], [(0, 0), (1, 0, 1)]])
+    def test_rejects_ragged_vectors_refutation(self, vectors):
+        # cut to length 2, x_2 - x_1 would read (1, 0): a valid certificate
+        refutation = Refutation(coeffs=(Fraction(1),), forced_zero=(Fraction(1), Fraction(0)))
+        assert not verify_outcome(vectors, refutation)
+
+    def test_rejects_common_weight_off_the_weights_lattice(self):
+        # every factor weight is a multiple of 1/L, with L the lcm of the
+        # weights' denominators; a common weight that is not is never met
+        vecs = vectors_of(path(6))
+        outcome = decide_uniform_weighting(vecs)
+        scale = math.lcm(*(w.denominator for w in outcome.weighting.weights))
+        assert verify_outcome(vecs, outcome)
+        off = Witness(outcome.weighting, outcome.common_weight + Fraction(1, 2 * scale))
+        assert not verify_outcome(vecs, off)
+
+    def test_rejects_forced_entry_moved_by_half_a_step(self):
+        vecs, outcome = _refutation_with_fractional_coeffs()
+        assert verify_outcome(vecs, outcome)
+        scale = math.lcm(*(c.denominator for c in outcome.coeffs if c))
+        for e in range(len(outcome.forced_zero)):
+            forced = list(outcome.forced_zero)
+            forced[e] += Fraction(1, 2 * scale)
+            assert not verify_outcome(vecs, Refutation(outcome.coeffs, tuple(forced)))
+
+    def test_rejects_sign_flipped_coefficient(self):
+        # the stated vector is the true combination, but one entry is negative
+        vecs = vectors_of(petersen())
+        outcome = decide_uniform_weighting(vecs)
+        for i, c in enumerate(outcome.coeffs):
+            if c:
+                coeffs = list(outcome.coeffs)
+                coeffs[i] = -c
+                forced = _combination(vecs, coeffs)
+                if min(forced) < 0:
+                    break
+        else:
+            pytest.fail("no single sign flip makes a forced entry negative")
+        assert not verify_outcome(vecs, Refutation(tuple(coeffs), forced))
+
+    def test_rejects_short_coeffs_or_forced_zero(self):
+        vecs = vectors_of(cycle(6))
+        outcome = decide_uniform_weighting(vecs)
+        assert verify_outcome(vecs, outcome)
+        assert not verify_outcome(vecs, Refutation(outcome.coeffs[:-1], outcome.forced_zero))
+        assert not verify_outcome(vecs, Refutation(outcome.coeffs, outcome.forced_zero[:-1]))
+
+
+# a 6-vertex graph whose oracle certificate has coefficients +-1/2
+HALVES = Graph.from_edges(6, [(0, 1), (0, 2), (0, 4), (0, 5), (1, 4), (1, 5), (2, 3)])
+PERTURBED_GRAPHS = [cycle(5), cycle(6), path(6), path(8), spider(3), double_star_graph(), petersen(), HALVES]
+
+
+@given(
+    st.sampled_from(range(len(PERTURBED_GRAPHS))),
+    st.sampled_from(["none", "combination", "stated"]),
+    st.integers(min_value=0, max_value=200),
+    st.fractions(min_value=-2, max_value=2, max_denominator=6),
+)
+@settings(max_examples=300, deadline=None)
+def test_integer_verifier_agrees_with_fraction_sums(k, kind, index, delta):
+    # a weight or coefficient moved, or the stated common weight or forced entry:
+    # the integer re-check and the earlier Fraction sums give one answer
+    vecs = vectors_of(PERTURBED_GRAPHS[k])
+    outcome = decide_uniform_weighting(vecs)
+    if isinstance(outcome, Witness):
+        weights = list(outcome.weighting.weights)
+        common = outcome.common_weight
+        if kind == "combination" and weights[index % len(weights)] + delta > 0:
+            weights[index % len(weights)] += delta
+        elif kind == "stated":
+            common += delta
+        outcome = Witness(Weighting(tuple(weights)), common)
+    else:
+        coeffs, forced = list(outcome.coeffs), list(outcome.forced_zero)
+        if kind == "combination":
+            coeffs[index % len(coeffs)] += delta
+        elif kind == "stated":
+            forced[index % len(forced)] += delta
+        outcome = Refutation(tuple(coeffs), tuple(forced))
+    assert verify_outcome(vecs, outcome) == reference_verify_outcome(vecs, outcome)
+    if kind == "none" or delta == 0:
+        assert verify_outcome(vecs, outcome)
+
+
+def _combination(vecs, coeffs):
+    """sum_i coeffs[i] * (x_{i+1} - x_1), entrywise in Fractions."""
+    first = vecs[0]
+    return tuple(
+        sum((c * (vec[e] - first[e]) for c, vec in zip(coeffs, vecs[1:]) if c), Fraction(0))
+        for e in range(len(first))
+    )
+
+
+def _refutation_with_fractional_coeffs():
+    vecs = vectors_of(HALVES)
+    outcome = decide_uniform_weighting(vecs)
+    assert isinstance(outcome, Refutation)
+    assert math.lcm(*(c.denominator for c in outcome.coeffs if c)) == 2
+    return vecs, outcome
+
+
+def reference_verify_outcome(vectors, outcome) -> bool:
+    """The earlier verifier, which summed in Fractions (equal-length vectors only)."""
+    if not vectors:
+        return False
+    m = len(vectors[0])
+    if isinstance(outcome, Witness):
+        w = outcome.weighting.weights
+        if len(w) != m or any(x <= Fraction(0) for x in w):
+            return False
+        for vec in vectors:
+            if sum(wi for wi, bit in zip(w, vec) if bit) != outcome.common_weight:
+                return False
+        return True
+    if isinstance(outcome, Refutation):
+        if len(outcome.coeffs) != len(vectors) - 1:
+            return False
+        if len(outcome.forced_zero) != m:
+            return False
+        forced = [Fraction(0)] * m
+        first = vectors[0]
+        for coeff, vec in zip(outcome.coeffs, vectors[1:]):
+            if coeff == Fraction(0):
+                continue
+            for e in range(m):
+                forced[e] += coeff * (vec[e] - first[e])
+        if tuple(forced) != outcome.forced_zero:
+            return False
+        return all(x >= Fraction(0) for x in forced) and any(x > Fraction(0) for x in forced)
+    return False
+
 
 class TestOracle:
     def test_verdict_values(self):
@@ -160,8 +301,6 @@ class TestOracle:
         assert omega_oracle(cycle(6)).verdict is Verdict.NOT_MEMBER
 
     def test_vacuous(self, monkeypatch):
-        from starfactor.graph import Graph
-
         assert omega_oracle(Graph(1, ())).verdict is Verdict.VACUOUS
         # fewer than n/2 edges: decided without building the adjacency; were
         # it built for 10^9 vertices it would take tens of GB, so fail first
