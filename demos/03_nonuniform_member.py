@@ -42,7 +42,8 @@ def main():
     print(f"witness: weight 2 on {heavy}, weight 1 elsewhere")
 
     totals = {
-        sum(cls.witness.weights[i] for i in f.edge_set) for f in factors
+        sum(w for i, w in enumerate(cls.witness.weights) if f >> i & 1)
+        for f in factors
     }
     print(f"totals over all {len(factors)} factors under that weighting: "
           f"{sorted(str(t) for t in totals)}")

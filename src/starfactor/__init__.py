@@ -22,10 +22,10 @@ from .graph import (
 )
 from .factors import (
     CapExceeded,
-    StarFactor,
     VacuousGraph,
     edge_count_spectrum,
     enumerate_star_factors,
+    factor_stars,
     incidence_vectors,
 )
 from .solver import (
@@ -66,10 +66,10 @@ __all__ = [
     "parse_graph6",
     "to_graph6",
     "CapExceeded",
-    "StarFactor",
     "VacuousGraph",
     "edge_count_spectrum",
     "enumerate_star_factors",
+    "factor_stars",
     "incidence_vectors",
     "OracleResult",
     "Refutation",

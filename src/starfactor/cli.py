@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 member/success, 2 not a member, 3 vacuous (no
-star-factors), 4 factor cap exceeded, 1 usage or parse error.
+Exit codes: 0 member/success, 2 not a member, 3 vacuous (no star-factors),
+4 factor cap exceeded, 1 usage or parse error or stdout closed early.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .factors import (
     VacuousGraph,
     edge_count_spectrum,
     enumerate_star_factors,
+    factor_stars,
 )
 from .graph import Graph, GraphError, girth, parse_edge_list, parse_graph6
 from .solver import Verdict, Weighting, certificate_json, omega_oracle, witness_json
@@ -208,16 +209,18 @@ def _run_factors(g: Graph, cap: int, output: str, out: TextIO) -> int:
         return EXIT_VACUOUS
     except CapExceeded:
         return _cap_exceeded(cap, output, out)
+
+    def edges(mask: int) -> list[tuple[int, int]]:
+        return [e for i, e in enumerate(g.edges) if mask >> i & 1]
+
     if output == "json":
         payload = {
             "count": len(factors),
             "spectrum": sorted(edge_count_spectrum(factors).items()),
             "factors": [
                 {
-                    "edges": [list(g.edges[i]) for i in sorted(f.edge_set)],
-                    "stars": [
-                        {"center": c, "leaves": sorted(ls)} for c, ls in f.stars
-                    ],
+                    "edges": [list(e) for e in edges(f)],
+                    "stars": [{"center": c, "leaves": list(ls)} for c, ls in factor_stars(g, f)],
                 }
                 for f in factors
             ],
@@ -227,8 +230,7 @@ def _run_factors(g: Graph, cap: int, output: str, out: TextIO) -> int:
         plural = "" if len(factors) == 1 else "s"
         print(f"{len(factors)} star-factor{plural}", file=out)
         for f in factors:
-            edges = " ".join(f"{g.edges[i][0]}-{g.edges[i][1]}" for i in sorted(f.edge_set))
-            print(f"  {edges}", file=out)
+            print("  " + " ".join(f"{u}-{v}" for u, v in edges(f)), file=out)
     return EXIT_MEMBER
 
 
@@ -296,7 +298,15 @@ def _run_census(args: argparse.Namespace, cap: int, out: TextIO) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout closed early (as under `| head`): point it at devnull so
+        # the interpreter's flush at exit has nothing left to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

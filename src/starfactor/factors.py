@@ -3,23 +3,21 @@
 A star-factor is a spanning subgraph in which every component is a star
 K_{1,k} with k >= 1; a bare vertex is not a star, so graphs with isolated
 vertices have no star-factors at all.  The enumerator backtracks over int
-vertex bitmasks, cuts every branch that leaves some uncovered vertex
-without an uncovered neighbor, and keeps each factor's stars as it
-placed them.
+vertex bitmasks and cuts every branch that leaves some uncovered vertex
+without an uncovered neighbor.
 
-Each factor's edge set is an int mask (bit i for edge i), accumulated as
+A factor is its edge set, an int mask (bit i for edge i) accumulated as
 stars are placed; the oracle reads nothing else.  No star-factor's edge
 set contains another's, which lets one int sort put the factors in
 lexicographic order, and ``incidence_vectors`` reads the mask's bits.
-The frozensets of ``StarFactor.stars`` and ``StarFactor.edge_set`` are
-built only when someone reads them.
+The edge set fixes the stars, and ``factor_stars`` reads them off it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .graph import Graph
 
@@ -41,34 +39,8 @@ class VacuousGraph(Exception):
     """The graph has an isolated vertex, hence no star-factor."""
 
 
-class StarFactor(NamedTuple):
-    """A spanning star forest, as the search found it.
-
-    ``edge_mask`` has bit i set iff edge i is in the factor; ``placed``
-    holds each star as (center, leaves) in the order it was placed, that
-    is by lowest vertex.  ``stars``, ``edge_set`` and ``edge_count`` are
-    computed on each access: the oracle reads only the mask.
-    """
-
-    edge_mask: int
-    placed: tuple[tuple[int, tuple[int, ...]], ...]
-
-    @property
-    def stars(self) -> tuple[tuple[int, frozenset[int]], ...]:
-        return tuple((c, frozenset(ls)) for c, ls in self.placed)
-
-    @property
-    def edge_set(self) -> frozenset[int]:
-        mask = self.edge_mask
-        return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-    @property
-    def edge_count(self) -> int:
-        return self.edge_mask.bit_count()
-
-
-def enumerate_star_factors(g: Graph, cap: int = DEFAULT_CAP) -> list[StarFactor]:
-    """All distinct star-factors of g, ordered lexicographically by edge set.
+def enumerate_star_factors(g: Graph, cap: int = DEFAULT_CAP) -> list[int]:
+    """Edge masks of g's distinct star-factors, lexicographically by edge set.
 
     Backtracks on the lowest uncovered vertex v: either v is a center with
     some nonempty subset of its uncovered neighbors as leaves, or v is a
@@ -78,8 +50,7 @@ def enumerate_star_factors(g: Graph, cap: int = DEFAULT_CAP) -> list[StarFactor]
     the cap counts as it goes.  Vertex sets are int bitmasks.  A branch is
     cut as soon as an uncovered vertex next to the star just placed has no
     uncovered neighbor left (only those can lose their last one), so the
-    search grows no branch that cannot finish.  Each factor keeps its stars
-    as they were placed, ordered by lowest vertex.  The search keeps an
+    search grows no branch that cannot finish.  The search keeps an
     explicit stack, so its depth is not bounded by Python's recursion limit.
 
     Edge sets are int masks too, accumulated as stars are placed.  Edge i
@@ -98,7 +69,7 @@ def enumerate_star_factors(g: Graph, cap: int = DEFAULT_CAP) -> list[StarFactor]
     if cap < 1:
         raise ValueError("cap must be positive")
     if g.n == 0:
-        return [StarFactor(0, ())]
+        return [0]
     m = g.m
     adjacency = g.adjacency
     reach = [sum(1 << u for u in ns) for ns in adjacency]
@@ -106,7 +77,7 @@ def enumerate_star_factors(g: Graph, cap: int = DEFAULT_CAP) -> list[StarFactor]
     edge_bits: list[dict[int, int]] = [{} for _ in range(g.n)]
     for i, (u, v) in enumerate(g.edges):
         edge_bits[u][v] = edge_bits[v][u] = 1 << (2 * m - 1 - i) | 1 << i
-    found: list[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]] = []
+    found: list[int] = []
 
     def stars_at(v: int, free: int) -> Iterator[tuple[int, tuple[int, ...]]]:
         """(center, leaves) for every star that covers v, given the mask
@@ -122,18 +93,14 @@ def enumerate_star_factors(g: Graph, cap: int = DEFAULT_CAP) -> list[StarFactor]
                     yield u, (v,) + extra
 
     # frames[k] = (uncovered mask, edge mask of the stars placed above
-    # depth k, the stars covering its lowest vertex still to try) at
-    # depth k; placed[k] is the star in use at depth k.
+    # depth k, the stars covering its lowest vertex still to try)
     full = (1 << g.n) - 1
     frames = [(full, 0, stars_at(0, full ^ 1))]
-    placed: list[tuple[int, tuple[int, ...]]] = []
     while frames:
         uncovered, edges, stars = frames[-1]
         star = next(stars, None)
         if star is None:
             frames.pop()
-            if placed:
-                placed.pop()
             continue
         center, leaves = star
         left = uncovered & ~(1 << center)
@@ -144,7 +111,7 @@ def enumerate_star_factors(g: Graph, cap: int = DEFAULT_CAP) -> list[StarFactor]
             near |= reach[x]
             edges |= bits[x]
         if not left:
-            found.append((edges, (*placed, star)))
+            found.append(edges)
             if len(found) > cap:
                 raise CapExceeded(cap)
             continue
@@ -155,25 +122,47 @@ def enumerate_star_factors(g: Graph, cap: int = DEFAULT_CAP) -> list[StarFactor]
             near &= near - 1
         if near:
             continue
-        placed.append(star)
         v = (left & -left).bit_length() - 1
         frames.append((left, edges, stars_at(v, left ^ (1 << v))))
-    # the masks are distinct, so the sort never compares the stars
     found.sort(reverse=True)
     low = (1 << m) - 1
-    return [StarFactor(edges & low, stars) for edges, stars in found]
+    return [edges & low for edges in found]
+
+
+def factor_stars(g: Graph, mask: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(center, leaves) for each star of g's star-factor with edge mask ``mask``.
+
+    A star with two or more leaves is centered at its one vertex of degree
+    >= 2 in the factor, a K_{1,1} at its lower end.  Stars are ordered by
+    lowest vertex and leaves increase, as ``enumerate_star_factors``
+    places them.
+    """
+    # the edges are sorted, so every neighbor list comes out sorted
+    around: list[list[int]] = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(g.edges):
+        if mask >> i & 1:
+            around[u].append(v)
+            around[v].append(u)
+    # a dict keeps its stars in the order of their lowest vertices
+    stars: dict[int, tuple[int, ...]] = {}
+    for v, ns in enumerate(around):
+        # u is v's center iff v is a leaf of a center of degree >= 2 or
+        # the higher end of a K_{1,1}
+        u = ns[0]
+        center = u if len(ns) == 1 and (len(around[u]) > 1 or u < v) else v
+        stars.setdefault(center, tuple(around[center]))
+    return tuple(stars.items())
 
 
 # bytes.translate table taking the ASCII digits of a binary numeral to 0/1
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def incidence_vectors(factors: list[StarFactor], m: int) -> list[IncidenceVector]:
-    """One 0/1 vector of length m per factor, in the same order."""
+def incidence_vectors(masks: list[int], m: int) -> list[IncidenceVector]:
+    """One 0/1 vector of length m per factor edge mask, in the same order."""
     top = 1 << m
     vectors = []
-    for f in factors:
-        mask = f.edge_mask
+    for mask in masks:
         if mask >> m:  # also true for a negative mask
             raise ValueError(f"edge index out of range for m={m}")
         # bin() reads '0b1' then bits m-1..0: reversed, the slice stops
@@ -182,6 +171,6 @@ def incidence_vectors(factors: list[StarFactor], m: int) -> list[IncidenceVector
     return vectors
 
 
-def edge_count_spectrum(factors: list[StarFactor]) -> Counter:
+def edge_count_spectrum(masks: list[int]) -> Counter:
     """Multiset of edge counts; singleton support means constant weights work."""
-    return Counter(f.edge_count for f in factors)
+    return Counter(mask.bit_count() for mask in masks)

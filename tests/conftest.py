@@ -181,6 +181,11 @@ def is_star_factor_edge_set(g: Graph, subset: tuple[int, ...]) -> bool:
     return True
 
 
+def mask_edge_set(mask: int) -> frozenset[int]:
+    """The edge indices whose bits are set in a factor's edge mask."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def brute_star_factor_edge_sets(g: Graph) -> list[frozenset[int]]:
     """All star-factors by filtering every one of the 2^m edge subsets."""
     out = []

@@ -2,8 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import starfactor
 
 from starfactor.cli import (
     EXIT_CAP,
@@ -377,3 +383,26 @@ class TestArgparseStreams:
         code, out, err = invoke(["--version"])
         assert (code, out, err) == (0, "starfactor 0.1.0\n", "")
         assert capsys.readouterr() == ("", "")
+
+
+class TestClosedStdout:
+    def test_closed_stdout_exits_1_without_traceback(self):
+        # the pipe's read end is closed before the child starts, so its
+        # first write to stdout fails, as under `| head -c 100` once head
+        # has exited
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ)
+        src = str(Path(starfactor.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "starfactor.cli", "factors",
+                 str(DATA_DIR / "petersen.g6"), "--output", "json"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_USAGE
+        assert b"Traceback" not in proc.stderr
+        assert b"Exception ignored" not in proc.stderr

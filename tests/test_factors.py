@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from starfactor.factors import (
     CapExceeded,
-    StarFactor,
     VacuousGraph,
     edge_count_spectrum,
     enumerate_star_factors,
+    factor_stars,
     incidence_vectors,
 )
 from starfactor.graph import Graph
@@ -21,6 +21,7 @@ from conftest import (
     cycle,
     disjoint_union,
     double_star_graph,
+    mask_edge_set,
     path,
     spider,
     star,
@@ -28,12 +29,12 @@ from conftest import (
 from test_properties import graphs
 
 
-def reference_incidence_vectors(factors, m):
+def reference_incidence_vectors(masks, m):
     """Vectors marked index by index from each factor's edge set."""
     vectors = []
-    for f in factors:
+    for mask in masks:
         v = [0] * m
-        for i in f.edge_set:
+        for i in mask_edge_set(mask):
             v[i] = 1
         vectors.append(tuple(v))
     return vectors
@@ -57,7 +58,7 @@ class TestAgainstBruteForce:
                     enumerate_star_factors(g)
                 assert expected == []  # the filter agrees nothing spans
                 continue
-            got = [f.edge_set for f in enumerate_star_factors(g)]
+            got = [mask_edge_set(f) for f in enumerate_star_factors(g)]
             assert got == expected
 
     def test_cycle_counts(self):
@@ -76,7 +77,7 @@ class TestAgainstBruteForce:
         for m in range(1, 6):
             factors = enumerate_star_factors(star(m))
             assert len(factors) == 1
-            assert factors[0].edge_set == frozenset(range(m))
+            assert mask_edge_set(factors[0]) == frozenset(range(m))
 
 
 class TestRandomGraphs:
@@ -93,10 +94,11 @@ class TestRandomGraphs:
             assert expected == []
             return
         factors = enumerate_star_factors(g)
-        assert [f.edge_set for f in factors] == expected
+        assert [mask_edge_set(f) for f in factors] == expected
         for f in factors:
-            rebuilt = {g.edge_index[(min(c, x), max(c, x))] for c, leaves in f.stars for x in leaves}
-            assert rebuilt == f.edge_set
+            stars = factor_stars(g, f)
+            rebuilt = {g.edge_index[(min(c, x), max(c, x))] for c, leaves in stars for x in leaves}
+            assert rebuilt == mask_edge_set(f)
         if len(expected) > cap:
             with pytest.raises(CapExceeded):
                 enumerate_star_factors(g, cap=cap)
@@ -107,7 +109,7 @@ class TestRandomGraphs:
 class TestStructure:
     def test_ordering_is_lexicographic_by_edge_set(self):
         factors = enumerate_star_factors(cycle(6))
-        keys = [tuple(sorted(f.edge_set)) for f in factors]
+        keys = [tuple(sorted(mask_edge_set(f))) for f in factors]
         assert keys == sorted(keys)
 
     @given(graphs(max_n=8, max_m=14))
@@ -118,16 +120,16 @@ class TestStructure:
         if g.has_isolated_vertex():
             return
         factors = enumerate_star_factors(g)
-        edge_sets = [f.edge_set for f in factors]
+        edge_sets = [mask_edge_set(f) for f in factors]
         for a, b in itertools.combinations(edge_sets, 2):
             assert not a <= b and not b <= a
-        assert factors == sorted(factors, key=lambda f: tuple(sorted(f.edge_set)))
+        assert factors == sorted(factors, key=lambda f: tuple(sorted(mask_edge_set(f))))
 
     def test_stars_partition_vertices(self):
         for g in [cycle(6), spider(2), double_star_graph()]:
             for f in enumerate_star_factors(g):
                 seen = []
-                for center, leaves in f.stars:
+                for center, leaves in factor_stars(g, f):
                     seen.append(center)
                     seen.extend(leaves)
                     assert len(leaves) >= 1
@@ -138,12 +140,46 @@ class TestStructure:
         g = Graph.from_edges(2, [(0, 1)])
         factors = enumerate_star_factors(g)
         assert len(factors) == 1
-        assert factors[0].stars == ((0, frozenset({1})),)
+        assert factor_stars(g, factors[0]) == ((0, (1,)),)
 
     def test_star_centers_have_all_leaves(self):
         # in P3 the middle vertex must be the center
-        factors = enumerate_star_factors(path(3))
-        assert factors[0].stars == ((1, frozenset({0, 2})),)
+        g = path(3)
+        factors = enumerate_star_factors(g)
+        assert factor_stars(g, factors[0]) == ((1, (0, 2)),)
+
+    def test_empty_graph_has_no_stars(self):
+        assert enumerate_star_factors(Graph(0, ())) == [0]
+        assert factor_stars(Graph(0, ()), 0) == ()
+
+    @given(graphs(max_n=8, max_m=14))
+    @settings(max_examples=300, deadline=None)
+    def test_stars_read_off_every_factor(self, g):
+        if g.has_isolated_vertex():
+            return
+        for f in enumerate_star_factors(g):
+            stars = factor_stars(g, f)
+            degree = [0] * g.n
+            for i in mask_edge_set(f):
+                for x in g.edges[i]:
+                    degree[x] += 1
+            vertices = [x for center, leaves in stars for x in (center, *leaves)]
+            assert sorted(vertices) == list(range(g.n))
+            edges = set()
+            for center, leaves in stars:
+                assert leaves and list(leaves) == sorted(leaves)
+                for x in leaves:
+                    edge = (min(center, x), max(center, x))
+                    assert edge in g.edge_index
+                    edges.add(g.edge_index[edge])
+                if len(leaves) >= 2:
+                    assert degree[center] >= 2
+                    assert all(degree[x] == 1 for x in leaves)
+                else:
+                    assert center < leaves[0]
+            lowest = [min(center, *leaves) for center, leaves in stars]
+            assert lowest == sorted(lowest)
+            assert edges == mask_edge_set(f)
 
 
 class TestErrorsAndLimits:
@@ -176,15 +212,14 @@ class TestCoordinates:
         vectors = incidence_vectors(factors, g.m)
         for f, vec in zip(factors, vectors):
             assert len(vec) == g.m
-            assert {i for i, bit in enumerate(vec) if bit} == f.edge_set
+            assert {i for i, bit in enumerate(vec) if bit} == mask_edge_set(f)
 
     def test_incidence_vector_range_check(self):
         # edge 3 cannot be marked in a vector of length 2
-        f = StarFactor(edge_mask=1 << 3, placed=((0, (1,)),))
         with pytest.raises(ValueError):
-            incidence_vectors([f], 2)
+            incidence_vectors([1 << 3], 2)
         with pytest.raises(ValueError):
-            incidence_vectors([StarFactor(-1, ())], 2)
+            incidence_vectors([-1], 2)
 
     @given(graphs(max_n=8, max_m=12))
     @settings(max_examples=300, deadline=None)
@@ -199,8 +234,7 @@ class TestCoordinates:
     def test_incidence_vectors_of_any_mask(self, m, data):
         # widths past 64 bits too, and m = 0 (the empty graph's one factor)
         masks = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << m) - 1), max_size=4))
-        factors = [StarFactor(mask, ()) for mask in masks]
-        assert incidence_vectors(factors, m) == reference_incidence_vectors(factors, m)
+        assert incidence_vectors(masks, m) == reference_incidence_vectors(masks, m)
 
     def test_spectrum(self):
         # [DERIVED: C6 has 2 factors of 3 edges and 3 of 4 edges]
