@@ -4,7 +4,10 @@ A star-factor is a spanning subgraph in which every component is a star
 K_{1,k} with k >= 1; a bare vertex is not a star, so graphs with isolated
 vertices have no star-factors at all.  The enumerator backtracks over int
 vertex bitmasks and cuts every branch that leaves some uncovered vertex
-without an uncovered neighbor.
+without an uncovered neighbor.  It places each star as a submask of a
+leaf pool, with the star's edges and neighbors one OR away from those of
+the submask less its low bit, and it takes a node's children one at a
+time from a generator, so a capped search on a dense graph stops early.
 
 A factor is its edge set, an int mask (bit i for edge i) accumulated as
 stars are placed; the oracle reads nothing else.  No star-factor's edge
@@ -16,7 +19,6 @@ The edge set fixes the stars, and ``factor_stars`` reads them off it.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
 from typing import Iterator
 
 from .graph import Graph
@@ -50,7 +52,18 @@ def enumerate_star_factors(g: Graph, cap: int = DEFAULT_CAP) -> list[int]:
     the cap counts as it goes.  Vertex sets are int bitmasks.  A branch is
     cut as soon as an uncovered vertex next to the star just placed has no
     uncovered neighbor left (only those can lose their last one), so the
-    search grows no branch that cannot finish.  The search keeps an
+    search grows no branch that cannot finish.
+
+    Each star choice has a pool, the center's uncovered neighbors (less v
+    when v is the fixed leaf), and its leaf sets are the nonempty submasks
+    s of the pool, walked in increasing order by s = (s - pool) & pool.
+    Then s less its low bit is s's prefix of its highest bits, so the
+    star's edge mask and neighbor mask are those of the prefix plus one OR
+    each; the walk keeps them by prefix length, O(degree) ints per choice.
+    Each node is a generator that yields its children one at a time, and
+    the search keeps one per node on its path: the next child is made only
+    after the first one's subtree is done, so a dense graph with a small
+    cap raises CapExceeded after little work and memory.  The path is an
     explicit stack, so its depth is not bounded by Python's recursion limit.
 
     Edge sets are int masks too, accumulated as stars are placed.  Edge i
@@ -71,59 +84,71 @@ def enumerate_star_factors(g: Graph, cap: int = DEFAULT_CAP) -> list[int]:
     if g.n == 0:
         return [0]
     m = g.m
-    adjacency = g.adjacency
-    reach = [sum(1 << u for u in ns) for ns in adjacency]
-    # edge_bits[u][v]: edge uv's bit in both halves of the accumulated mask
-    edge_bits: list[dict[int, int]] = [{} for _ in range(g.n)]
+    # keyed by a vertex's bit: its neighbor mask, and each neighbor's bit
+    # to the edge's bits in both halves of the accumulated mask
+    reach: dict[int, int] = {}
+    edge_bits: dict[int, dict[int, int]] = {}
+    for v, ns in enumerate(g.adjacency):
+        reach[1 << v] = sum(1 << u for u in ns)
+        edge_bits[1 << v] = {}
     for i, (u, v) in enumerate(g.edges):
-        edge_bits[u][v] = edge_bits[v][u] = 1 << (2 * m - 1 - i) | 1 << i
+        edge_bits[1 << u][1 << v] = edge_bits[1 << v][1 << u] = 1 << (2 * m - 1 - i) | 1 << i
     found: list[int] = []
 
-    def stars_at(v: int, free: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """(center, leaves) for every star that covers v, given the mask
-        ``free`` of the other uncovered vertices."""
-        around = [u for u in adjacency[v] if free >> u & 1]
-        for size in range(1, len(around) + 1):
-            for leaves in combinations(around, size):
-                yield v, leaves
-        for u in around:
-            others = [x for x in adjacency[u] if free >> x & 1]
-            for size in range(1, len(others) + 1):
-                for extra in combinations(others, size):
-                    yield u, (v,) + extra
+    def children(uncovered: int, edges: int) -> Iterator[tuple[int, int]]:
+        """(uncovered mask, edge mask) of each child of the node that has
+        the stars of ``edges`` placed and ``uncovered`` left to cover; a
+        child that covers everything is a factor and goes to ``found``."""
+        v = uncovered & -uncovered
+        free = uncovered ^ v
+        # (leaf pool, uncovered mask with the center and any fixed leaf
+        # removed, edge mask, neighbor mask, the center's edge bits)
+        around = reach[v] & free
+        choices = [(around, free, edges, reach[v], edge_bits[v])]
+        while around:
+            u = around & -around
+            around ^= u
+            pool = reach[u] & free
+            if pool:
+                choices.append((pool, free ^ u, edges | edge_bits[u][v], reach[u] | reach[v], edge_bits[u]))
+        for pool, rest, edges0, near0, bits in choices:
+            # edge_masks[j] and near_masks[j] hold the star's masks with the
+            # leaves of s's j highest bits; in increasing order, s less its
+            # low bit is the previous s's prefix of k - 1 bits, already there
+            width = pool.bit_count()
+            edge_masks = [edges0] * (width + 1)
+            near_masks = [near0] * (width + 1)
+            s = 0
+            while True:
+                s = (s - pool) & pool
+                if not s:
+                    break
+                low = s & -s
+                k = s.bit_count()
+                edge_masks[k] = with_star = edge_masks[k - 1] | bits[low]
+                near_masks[k] = near = near_masks[k - 1] | reach[low]
+                left = rest ^ s
+                if not left:
+                    found.append(with_star)
+                    if len(found) > cap:
+                        raise CapExceeded(cap)
+                    continue
+                # cut if an uncovered vertex next to the star has lost its
+                # last uncovered neighbor; near stops at the lowest such vertex
+                near &= left
+                while near and reach[near & -near] & left:
+                    near &= near - 1
+                if not near:
+                    yield left, with_star
 
-    # frames[k] = (uncovered mask, edge mask of the stars placed above
-    # depth k, the stars covering its lowest vertex still to try)
-    full = (1 << g.n) - 1
-    frames = [(full, 0, stars_at(0, full ^ 1))]
-    while frames:
-        uncovered, edges, stars = frames[-1]
-        star = next(stars, None)
-        if star is None:
-            frames.pop()
-            continue
-        center, leaves = star
-        left = uncovered & ~(1 << center)
-        near = reach[center]
-        bits = edge_bits[center]
-        for x in leaves:
-            left &= ~(1 << x)
-            near |= reach[x]
-            edges |= bits[x]
-        if not left:
-            found.append(edges)
-            if len(found) > cap:
-                raise CapExceeded(cap)
-            continue
-        # cut if an uncovered vertex next to the star has lost its last
-        # uncovered neighbor; near stops at the lowest such vertex
-        near &= left
-        while near and reach[(near & -near).bit_length() - 1] & left:
-            near &= near - 1
-        if near:
-            continue
-        v = (left & -left).bit_length() - 1
-        frames.append((left, edges, stars_at(v, left ^ (1 << v))))
+    # one generator per node on the path, each advanced one child at a time
+    path = [children((1 << g.n) - 1, 0)]
+    while path:
+        child = next(path[-1], None)
+        if child is None:
+            path.pop()
+        else:
+            path.append(children(*child))
     found.sort(reverse=True)
     low = (1 << m) - 1
     return [edges & low for edges in found]

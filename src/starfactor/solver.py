@@ -28,11 +28,15 @@ floating point.  It goes in this order:
 4. At optimum t = 0, Stiemke's alternative guarantees a nonnegative
    nonzero vector y.B in the row space, and LP2 finds y.
 
-Only for a certificate are its coefficients on the rows of D recovered,
-from one small square system read off the incidence vectors, so that
-the certificate is checkable without trusting the simplex:
-``verify_outcome`` re-checks a witness or a certificate from the
-incidence vectors alone, in integer sums.
+Only for a certificate are its coefficients on the rows of D recovered.
+They are the unique solution of one r x r integer system read off the
+incidence vectors, whose leading minors are all nonzero, so Bareiss's
+fraction-free elimination (Math. Comp. 22, 1968) solves it with no
+pivot search, and integer back substitution gives every coefficient
+over the one denominator det * scale.  The certificate is then
+checkable without trusting the simplex: ``verify_outcome`` re-checks a
+witness or a certificate from the incidence vectors alone, in integer
+sums.
 """
 
 from __future__ import annotations
@@ -210,28 +214,63 @@ def _refutation(
 ) -> Refutation:
     """The certificate y.B with B the reduced basis, and its coefficients on D.
 
-    The used D rows are independent, so the coefficients c are unique; on
-    the pivot columns y.B equals y, so they solve the r x r system
-    sum_t c_t D[used_t][pivot_j] = y_j, which is reduced fraction-free too.
-    Its entries are read off the incidence vectors, as D[t][p] is
-    x_{t+2}[p] - x_1[p].
+    y.B is summed in integers over one common denominator.  The used D
+    rows are independent, so the coefficients c are unique; on the pivot
+    columns y.B equals y, so they solve the r x r system A c = y with
+    A[j][t] = D[used_t][pivot_j], read off the incidence vectors as
+    x_{used_t+2}[p] - x_1[p].  Its k-th leading minor, the first k used
+    rows read on the first k pivots, is nonzero: those rows span the basis
+    as it stood when the k-th of them entered, and that basis is zero at
+    each other's pivots and nonzero at its own.  So Bareiss's fraction-free
+    elimination runs without row exchanges: each step divides exactly by
+    the step before's pivot, and the last pivot is the determinant det.
+    An equation whose pivot would be negative is negated, which changes no
+    solution; with consecutive pivots equal, a row with no entry to clear
+    stays as it is.  Integer back substitution on A c = scale * y, scale
+    the lcm of y's denominators, then gives X = det * scale * c (Cramer's
+    rule), and c = X / (det * scale).
     """
-    forced = [ZERO] * len(rows[0])
-    for y, row, p in zip(ys, rows, pivots):
-        if y != ZERO:
-            for e, x in enumerate(row):
-                if x:
-                    forced[e] += y * Fraction(x, row[p])
+    # forced_zero = sum_j y_j b_j / b_j[p_j], times the lcm of those denominators
+    terms = [(y, row, y.denominator * row[p]) for y, row, p in zip(ys, rows, pivots) if y]
+    denominator = math.lcm(*(d for _, _, d in terms))
+    totals = [0] * len(rows[0])
+    for y, row, d in terms:
+        weight = y.numerator * (denominator // d)
+        totals = [total + weight * x for total, x in zip(totals, row)]
+    forced = tuple(Fraction(total, denominator) if total else ZERO for total in totals)
+
+    r = len(rows)
     scale = math.lcm(*(y.denominator for y in ys))
-    system = [
-        [vectors[t + 1][p] - vectors[0][p] for t in used]
-        + [y.numerator * (scale // y.denominator)]
-        for y, p in zip(ys, pivots)
-    ]
+    first = vectors[0]
+    columns = [vectors[t + 1] for t in used]
+    a = []
+    for y, p in zip(ys, pivots):
+        x1 = first[p]
+        a.append([x[p] - x1 for x in columns] + [y.numerator * (scale // y.denominator)])
+    previous = 1
+    for k in range(r - 1):
+        head = a[k]
+        if head[k] < 0:
+            head[k:] = [-x for x in head[k:]]
+        pivot = head[k]
+        tail = head[k + 1 :]
+        # entries left of k + 1 are never read again, so they keep their values
+        for row in a[k + 1 :]:
+            f = row[k]
+            if f:
+                row[k + 1 :] = [(x * pivot - f * h) // previous for x, h in zip(row[k + 1 :], tail)]
+            elif pivot != previous:
+                row[k + 1 :] = [x * pivot // previous for x in row[k + 1 :]]
+        previous = pivot
+    det = a[-1][-2]
+    xs = [0] * r
+    for t in range(r - 1, -1, -1):
+        row = a[t]
+        xs[t] = (det * row[r] - sum(map(mul, row[t + 1 : r], xs[t + 1 :]))) // row[t]
     coeffs = [ZERO] * (len(vectors) - 1)
-    for row, t in zip(*_reduce_rows(system)[:2]):
-        coeffs[used[t]] = Fraction(row[-1], row[t])
-    return Refutation(coeffs=tuple(coeffs), forced_zero=tuple(forced))
+    for t, x in zip(used, xs):
+        coeffs[t] = Fraction(x, det * scale)
+    return Refutation(coeffs=tuple(coeffs), forced_zero=forced)
 
 
 def decide_uniform_weighting(vectors: Sequence[IncidenceVector]) -> FeasibilityOutcome:

@@ -1,0 +1,158 @@
+"""The certificate's coefficients by one Bareiss solve, against the row
+reduction it replaced.
+
+``reference_refutation`` below is an earlier ``solver._refutation``, kept
+verbatim apart from its name.  It summed ``forced_zero`` in Fractions and
+solved the r x r coefficient system with the general row reduction
+``_reduce_rows``.  The current ``_refutation`` sums over one common
+denominator and solves the system by fraction-free elimination with no
+row exchange.  The coefficients are unique, so wherever y is integral
+both must return equal ``Refutation``s.  That covers every refutation the
+oracle makes for a connected graph with n <= 6 (54 of them come from LP2,
+whose y is not a unit vector).  No graph up to n = 7 gives a y with a
+fraction, so random graphs' bases are paired with random rational y.
+There the system's right-hand side is scaled to integers by the lcm of
+y's denominators, and the reference never divided by that scale: its
+coefficients came out scale times too large, and did not sum to its own
+``forced_zero``.  The test requires the current coefficients to sum to
+it, and to be the reference's divided by the scale.  Elimination with no
+row exchange needs every leading minor of the system to be nonzero; a
+plain integer elimination checks that.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Sequence
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from starfactor import solver
+from starfactor.census import generate_connected
+from starfactor.factors import CapExceeded, IncidenceVector, VacuousGraph, enumerate_star_factors, incidence_vectors
+from starfactor.solver import ZERO, Refutation, _reduce_rows, _refutation
+
+from test_enumerator_equivalence import any_graphs
+
+
+def reference_refutation(
+    vectors: Sequence[IncidenceVector],
+    ys: Sequence[Fraction],
+    rows: list[list[int]],
+    pivots: list[int],
+    used: list[int],
+) -> Refutation:
+    """The certificate y.B with B the reduced basis, and its coefficients on D.
+
+    The used D rows are independent, so the coefficients c are unique; on
+    the pivot columns y.B equals y, so they solve the r x r system
+    sum_t c_t D[used_t][pivot_j] = y_j, which is reduced fraction-free too.
+    Its entries are read off the incidence vectors, as D[t][p] is
+    x_{t+2}[p] - x_1[p].
+    """
+    forced = [ZERO] * len(rows[0])
+    for y, row, p in zip(ys, rows, pivots):
+        if y != ZERO:
+            for e, x in enumerate(row):
+                if x:
+                    forced[e] += y * Fraction(x, row[p])
+    scale = math.lcm(*(y.denominator for y in ys))
+    system = [
+        [vectors[t + 1][p] - vectors[0][p] for t in used]
+        + [y.numerator * (scale // y.denominator)]
+        for y, p in zip(ys, pivots)
+    ]
+    coeffs = [ZERO] * (len(vectors) - 1)
+    for row, t in zip(*_reduce_rows(system)[:2]):
+        coeffs[used[t]] = Fraction(row[-1], row[t])
+    return Refutation(coeffs=tuple(coeffs), forced_zero=tuple(forced))
+
+
+def leading_minors_nonzero(vectors, pivots, used) -> bool:
+    """Elimination by cross-multiplication without row exchange on
+    A[j][t] = D[used_t][pivot_j].  Scaling a row by a nonzero pivot keeps
+    every leading minor zero or nonzero, and the k-th pivot is nonzero iff
+    the k-th leading minor is, given the ones before."""
+    first = vectors[0]
+    a = [[vectors[t + 1][p] - first[p] for t in used] for p in pivots]
+    for k, head in enumerate(a):
+        if not head[k]:
+            return False
+        for i in range(k + 1, len(a)):
+            f = a[i][k]
+            if f:
+                a[i] = [x * head[k] - f * h for x, h in zip(a[i], head)]
+    return True
+
+
+@pytest.fixture(scope="module")
+def connected_graph_refutations():
+    """(refutations, ones with a non-unit y, mismatches, singular systems)
+    over every connected labeled graph with 2 <= n <= 6."""
+    seen = [0, 0]
+    mismatches = []
+    singular = []
+
+    def compared(vectors, ys, rows, pivots, used):
+        got = _refutation(vectors, ys, rows, pivots, used)
+        seen[0] += 1
+        seen[1] += sorted(ys) != [ZERO] * (len(ys) - 1) + [1]
+        if got != reference_refutation(vectors, ys, rows, pivots, used):
+            mismatches.append(vectors)
+        if not leading_minors_nonzero(vectors, pivots, used):
+            singular.append(vectors)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_refutation", compared)
+        for n in range(2, 7):
+            for g in generate_connected(n):
+                solver.omega_oracle(g)
+    return seen[0], seen[1], mismatches, singular
+
+
+def test_every_connected_graph_refutation_matches(connected_graph_refutations):
+    count, from_lp2, mismatches, _ = connected_graph_refutations
+    assert count > 20_000
+    assert from_lp2 == 54
+    assert mismatches == []
+
+
+def test_every_connected_graph_system_has_nonzero_leading_minors(connected_graph_refutations):
+    _, _, _, singular = connected_graph_refutations
+    assert singular == []
+
+
+def combination(vectors, coeffs) -> tuple[Fraction, ...]:
+    """sum_i coeffs[i] * (x_{i+1} - x_1), entrywise in Fractions."""
+    first = vectors[0]
+    return tuple(
+        sum((c * (vec[e] - first[e]) for c, vec in zip(coeffs, vectors[1:]) if c), ZERO)
+        for e in range(len(first))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_graphs(max_n=7), st.data())
+def test_random_basis_and_rational_y(g, data):
+    try:
+        vectors = incidence_vectors(enumerate_star_factors(g, cap=1000), g.m)
+    except (VacuousGraph, CapExceeded):
+        assume(False)
+    rows, pivots, used = _reduce_rows([a - b for a, b in zip(v, vectors[0])] for v in vectors[1:])
+    assume(rows)
+    y = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    ys = data.draw(st.lists(y, min_size=len(rows), max_size=len(rows)))
+    assume(any(ys))
+    got = _refutation(vectors, ys, rows, pivots, used)
+    expected = reference_refutation(vectors, ys, rows, pivots, used)
+    assert got.forced_zero == expected.forced_zero
+    assert combination(vectors, got.coeffs) == got.forced_zero
+    # the reference solved A c = scale * y and did not divide by scale, so
+    # its coefficients were scale times too large wherever y had a fraction
+    scale = math.lcm(*(y.denominator for y in ys))
+    assert expected.coeffs == tuple(scale * c for c in got.coeffs)
+    assert leading_minors_nonzero(vectors, pivots, used)
