@@ -8,11 +8,15 @@ without an uncovered neighbor.  It places each star as a submask of a
 leaf pool, with the star's edges and neighbors one OR away from those of
 the submask less its low bit, and it takes a node's children one at a
 time from a generator, so a capped search on a dense graph stops early.
+A pendant vertex is forced into its neighbor's star before any submask
+is walked, so a center with many pendant neighbors costs one star.
 
 A factor is its edge set, an int mask (bit i for edge i) accumulated as
 stars are placed; the oracle reads nothing else.  No star-factor's edge
 set contains another's, which lets one int sort put the factors in
-lexicographic order, and ``incidence_vectors`` reads the mask's bits.
+lexicographic order.  The solver decides from the masks themselves;
+``mask_bits`` reads a mask's bits, for the solver's rows of D and for
+``incidence_vectors``, the 0/1 tuples that ``verify_outcome`` checks.
 The edge set fixes the stars, and ``factor_stars`` reads them off it.
 """
 
@@ -60,6 +64,17 @@ def enumerate_star_factors(g: Graph, cap: int = DEFAULT_CAP) -> list[int]:
     Then s less its low bit is s's prefix of its highest bits, so the
     star's edge mask and neighbor mask are those of the prefix plus one OR
     each; the walk keeps them by prefix length, O(degree) ints per choice.
+
+    A pendant vertex (degree 1) has its one edge in every factor.  So the
+    pool's pendant vertices are forced leaves: they join the star before
+    the walk, which runs over the rest of the pool and counts the forced
+    leaves alone as one more leaf set.  When v has an uncovered pendant
+    neighbor, v is a center, and the choices that make v a leaf are not
+    tried.  Every leaf set this skips would leave a pendant vertex with no
+    uncovered neighbor and be cut, so the factors are the same, but a
+    center with k pendant neighbors costs one star instead of 2^k: a star
+    K_{1,k} has one factor and is found in O(k) steps.
+
     Each node is a generator that yields its children one at a time, and
     the search keeps one per node on its path: the next child is made only
     after the first one's subtree is done, so a dense graph with a small
@@ -84,13 +99,17 @@ def enumerate_star_factors(g: Graph, cap: int = DEFAULT_CAP) -> list[int]:
     if g.n == 0:
         return [0]
     m = g.m
-    # keyed by a vertex's bit: its neighbor mask, and each neighbor's bit
-    # to the edge's bits in both halves of the accumulated mask
-    reach: dict[int, int] = {}
+    # keyed by a vertex's bit: its neighbor mask, and each neighbor's bit to
+    # the edge's bits in both halves of the accumulated mask; key 0, the
+    # empty submask, maps to 0 in both, for a star of forced leaves alone
+    reach: dict[int, int] = {0: 0}
     edge_bits: dict[int, dict[int, int]] = {}
+    leaves = 0  # the pendant vertices: each one's single edge is in every factor
     for v, ns in enumerate(g.adjacency):
         reach[1 << v] = sum(1 << u for u in ns)
-        edge_bits[1 << v] = {}
+        edge_bits[1 << v] = {0: 0}
+        if len(ns) == 1:
+            leaves |= 1 << v
     for i, (u, v) in enumerate(g.edges):
         edge_bits[1 << u][1 << v] = edge_bits[1 << v][1 << u] = 1 << (2 * m - 1 - i) | 1 << i
     found: list[int] = []
@@ -102,44 +121,66 @@ def enumerate_star_factors(g: Graph, cap: int = DEFAULT_CAP) -> list[int]:
         v = uncovered & -uncovered
         free = uncovered ^ v
         # (leaf pool, uncovered mask with the center and any fixed leaf
-        # removed, edge mask, neighbor mask, the center's edge bits)
-        around = reach[v] & free
-        choices = [(around, free, edges, reach[v], edge_bits[v])]
-        while around:
-            u = around & -around
-            around ^= u
-            pool = reach[u] & free
-            if pool:
-                choices.append((pool, free ^ u, edges | edge_bits[u][v], reach[u] | reach[v], edge_bits[u]))
+        # removed, edge mask, neighbor mask, the center's edge bits); the
+        # pool of v is never empty, as the cut leaves no uncovered vertex
+        # without an uncovered neighbor
+        near_v = reach[v]
+        around = near_v & free
+        choices = [(around, free, edges, near_v, edge_bits[v])]
+        # v with a pendant neighbor is that neighbor's center, never a leaf
+        if not around & leaves:
+            while around:
+                u = around & -around
+                around ^= u
+                near_u = reach[u]
+                pool = near_u & free
+                if pool:
+                    bits_u = edge_bits[u]
+                    choices.append((pool, free ^ u, edges | bits_u[v], near_u | near_v, bits_u))
         for pool, rest, edges0, near0, bits in choices:
+            # the pool's pendant vertices are leaves of every star that can
+            # finish, so they join the star first and the walk is over the
+            # rest of the pool, from s = 0, the forced leaves alone; a
+            # pendant leaf's one neighbor is the center, so near0 stays
+            forced = pool & leaves
+            if forced:
+                pool ^= forced
+                rest ^= forced
+                s = 0
+                while forced:
+                    low = forced & -forced
+                    forced ^= low
+                    edges0 |= bits[low]
+            else:
+                s = pool & -pool
             # edge_masks[j] and near_masks[j] hold the star's masks with the
             # leaves of s's j highest bits; in increasing order, s less its
             # low bit is the previous s's prefix of k - 1 bits, already there
+            # (for s = 0, first if at all, index -1 still holds the start)
             width = pool.bit_count()
             edge_masks = [edges0] * (width + 1)
             near_masks = [near0] * (width + 1)
-            s = 0
             while True:
-                s = (s - pool) & pool
-                if not s:
-                    break
                 low = s & -s
                 k = s.bit_count()
                 edge_masks[k] = with_star = edge_masks[k - 1] | bits[low]
                 near_masks[k] = near = near_masks[k - 1] | reach[low]
                 left = rest ^ s
-                if not left:
+                if left:
+                    # cut if an uncovered vertex next to the star has lost
+                    # its last uncovered neighbor; near stops at the lowest
+                    near &= left
+                    while near and reach[near & -near] & left:
+                        near &= near - 1
+                    if not near:
+                        yield left, with_star
+                else:
                     found.append(with_star)
                     if len(found) > cap:
                         raise CapExceeded(cap)
-                    continue
-                # cut if an uncovered vertex next to the star has lost its
-                # last uncovered neighbor; near stops at the lowest such vertex
-                near &= left
-                while near and reach[near & -near] & left:
-                    near &= near - 1
-                if not near:
-                    yield left, with_star
+                s = (s - pool) & pool
+                if not s:
+                    break
 
     # one generator per node on the path, each advanced one child at a time
     path = [children((1 << g.n) - 1, 0)]
@@ -183,16 +224,20 @@ def factor_stars(g: Graph, mask: int) -> tuple[tuple[int, tuple[int, ...]], ...]
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def mask_bits(mask: int, m: int) -> bytes:
+    """Bits 0..m-1 of a nonnegative mask below 2^m, one byte (0 or 1) each."""
+    # bin() reads '0b1' then bits m-1..0: reversed, the slice stops before
+    # the marker bit, so m = 0 gives no bytes
+    return bin(mask | 1 << m)[:2:-1].encode().translate(_BITS)
+
+
 def incidence_vectors(masks: list[int], m: int) -> list[IncidenceVector]:
     """One 0/1 vector of length m per factor edge mask, in the same order."""
-    top = 1 << m
     vectors = []
     for mask in masks:
         if mask >> m:  # also true for a negative mask
             raise ValueError(f"edge index out of range for m={m}")
-        # bin() reads '0b1' then bits m-1..0: reversed, the slice stops
-        # before the marker bit, so m = 0 gives the empty vector
-        vectors.append(tuple(bin(mask | top)[:2:-1].encode().translate(_BITS)))
+        vectors.append(tuple(mask_bits(mask, m)))
     return vectors
 
 

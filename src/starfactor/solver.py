@@ -4,19 +4,23 @@ A graph belongs to the family iff some strictly positive edge-weighting
 gives every star-factor the same total weight.  Writing x_i for the
 factor incidence vectors, that is a strictly positive solution of
 (x_i - x_1).w = 0 for all i, that is D w = 0 for the difference matrix
-D with rows x_i - x_1 (i >= 2).  The decision is exact and never uses
-floating point.  It goes in this order:
+D with rows x_i - x_1 (i >= 2).  The decision reads the factors as the
+edge masks the enumerator returns (x_i is mask i's bits), and an
+incidence vector is never built for a factor the decision does not
+read.  It is exact and never uses floating point.  It goes in this
+order:
 
-1. Every factor has the same edge count: w = 1 is a solution, and the
-   all-ones witness is returned before any row of D is formed.
+1. Every factor has the same edge count (the masks' bit counts): w = 1
+   is a solution, and the all-ones witness is returned before any row
+   of D is formed.
 2. Otherwise a fraction-free elimination in integers reduces D to a
    basis B of its row space (primitive rows, positive pivots).  D is
-   never stored: each row is formed only as the scan reads it, and the
-   scan ends once B has full rank m, which on K7 is after 187 of its
-   846 rows.  A row is reduced against B on B's free (non-pivot)
-   columns only, where one combination decides whether it lies in the
-   span of B (166 of K7's 187 rows do); only a row that enters B is
-   written out in full.  A one-signed row of B is nonnegative and
+   never stored: each row is read off its mask only as the scan asks
+   for it, and the scan ends once B has full rank m, which on K7 is
+   after 187 of its 846 rows.  A row is reduced against B on B's free
+   (non-pivot) columns only, where one combination decides whether it
+   lies in the span of B (166 of K7's 187 rows do); only a row that
+   enters B is written out in full.  A one-signed row of B is nonnegative and
    nonzero, and no positive w is orthogonal to it: it is the
    certificate.
 3. Otherwise LP1,
@@ -30,13 +34,13 @@ floating point.  It goes in this order:
 
 Only for a certificate are its coefficients on the rows of D recovered.
 They are the unique solution of one r x r integer system read off the
-incidence vectors, whose leading minors are all nonzero, so Bareiss's
+masks' bits, whose leading minors are all nonzero, so Bareiss's
 fraction-free elimination (Math. Comp. 22, 1968) solves it with no
 pivot search, and integer back substitution gives every coefficient
 over the one denominator det * scale.  The certificate is then
-checkable without trusting the simplex: ``verify_outcome`` re-checks a
-witness or a certificate from the incidence vectors alone, in integer
-sums.
+checkable without trusting the simplex or the masks: ``verify_outcome``
+re-checks a witness or a certificate from 0/1 incidence vectors alone,
+in integer sums.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from .factors import (
     IncidenceVector,
     VacuousGraph,
     enumerate_star_factors,
-    incidence_vectors,
+    mask_bits,
 )
 from .graph import Graph
 
@@ -206,7 +210,7 @@ def _reduce_rows(d_rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list
 
 
 def _refutation(
-    vectors: Sequence[IncidenceVector],
+    masks: Sequence[int],
     ys: Sequence[Fraction],
     rows: list[list[int]],
     pivots: list[int],
@@ -217,13 +221,14 @@ def _refutation(
     y.B is summed in integers over one common denominator.  The used D
     rows are independent, so the coefficients c are unique; on the pivot
     columns y.B equals y, so they solve the r x r system A c = y with
-    A[j][t] = D[used_t][pivot_j], read off the incidence vectors as
-    x_{used_t+2}[p] - x_1[p].  Its k-th leading minor, the first k used
-    rows read on the first k pivots, is nonzero: those rows span the basis
-    as it stood when the k-th of them entered, and that basis is zero at
-    each other's pivots and nonzero at its own.  So Bareiss's fraction-free
-    elimination runs without row exchanges: each step divides exactly by
-    the step before's pivot, and the last pivot is the determinant det.
+    A[j][t] = D[used_t][pivot_j], read off the factors' edge masks as
+    bit p of x_{used_t+2} less bit p of x_1.  Its k-th leading minor, the
+    first k used rows read on the first k pivots, is nonzero: those rows
+    span the basis as it stood when the k-th of them entered, and that
+    basis is zero at each other's pivots and nonzero at its own.  So
+    Bareiss's fraction-free elimination runs without row exchanges: each
+    step divides exactly by the step before's pivot, and the last pivot is
+    the determinant det.
     An equation whose pivot would be negative is negated, which changes no
     solution; with consecutive pivots equal, a row with no entry to clear
     stays as it is.  Integer back substitution on A c = scale * y, scale
@@ -241,12 +246,12 @@ def _refutation(
 
     r = len(rows)
     scale = math.lcm(*(y.denominator for y in ys))
-    first = vectors[0]
-    columns = [vectors[t + 1] for t in used]
+    first = masks[0]
+    columns = [masks[t + 1] for t in used]
     a = []
     for y, p in zip(ys, pivots):
-        x1 = first[p]
-        a.append([x[p] - x1 for x in columns] + [y.numerator * (scale // y.denominator)])
+        x1 = first >> p & 1
+        a.append([(x >> p & 1) - x1 for x in columns] + [y.numerator * (scale // y.denominator)])
     previous = 1
     for k in range(r - 1):
         head = a[k]
@@ -267,27 +272,31 @@ def _refutation(
     for t in range(r - 1, -1, -1):
         row = a[t]
         xs[t] = (det * row[r] - sum(map(mul, row[t + 1 : r], xs[t + 1 :]))) // row[t]
-    coeffs = [ZERO] * (len(vectors) - 1)
+    coeffs = [ZERO] * (len(masks) - 1)
     for t, x in zip(used, xs):
         coeffs[t] = Fraction(x, det * scale)
     return Refutation(coeffs=tuple(coeffs), forced_zero=forced)
 
 
-def decide_uniform_weighting(vectors: Sequence[IncidenceVector]) -> FeasibilityOutcome:
-    """Exact decision: uniform positive weighting, or a Stiemke certificate."""
-    if not vectors:
-        raise ValueError("at least one incidence vector required")
-    m = len(vectors[0])
-    if any(len(v) != m for v in vectors):
-        raise ValueError("incidence vectors must all have the same length")
+def decide_uniform_weighting(masks: Sequence[int], m: int) -> FeasibilityOutcome:
+    """Exact decision: uniform positive weighting, or a Stiemke certificate.
+
+    ``masks`` are the factors' edge masks over m edges (bit e for edge e),
+    as ``enumerate_star_factors`` returns them; x_i is mask i's 0/1 vector.
+    """
+    if not masks:
+        raise ValueError("at least one factor edge mask required")
+    if min(masks) < 0 or max(masks) >> m:
+        raise ValueError(f"edge index out of range for m={m}")
     # Every factor has the same edge count iff D 1 = 0, and then t <= w_e <= 1
     # makes t = 1, w = 1 LP1's unique optimum: its witness is all ones.
-    edge_count = sum(vectors[0])
-    if all(sum(v) == edge_count for v in vectors):
-        return Witness(weighting=Weighting.constant(m), common_weight=Fraction(edge_count))
+    if len(set(map(int.bit_count, masks))) == 1:
+        return Witness(weighting=Weighting.constant(m), common_weight=Fraction(masks[0].bit_count()))
     # D's rows x_i - x_1 (i >= 2) are formed only as the row basis reads them.
-    first = vectors[0]
-    rows, pivots, used = _reduce_rows([a - b for a, b in zip(v, first)] for v in vectors[1:])
+    first = mask_bits(masks[0], m)
+    rows, pivots, used = _reduce_rows(
+        [a - b for a, b in zip(mask_bits(mask, m), first)] for mask in masks[1:]
+    )
 
     # A one-signed basis row is already a certificate; its pivot entry is
     # positive, so it is nonnegative.
@@ -296,7 +305,7 @@ def decide_uniform_weighting(vectors: Sequence[IncidenceVector]) -> FeasibilityO
         if all(x >= 0 for x in row):
             ys = [ZERO] * r
             ys[j] = ONE
-            return _refutation(vectors, ys, rows, pivots, used)
+            return _refutation(masks, ys, rows, pivots, used)
 
     # The reduced basis, each row divided by its pivot entry.
     basis = [
@@ -326,7 +335,7 @@ def decide_uniform_weighting(vectors: Sequence[IncidenceVector]) -> FeasibilityO
     if t_opt > ZERO:
         scale = min(x[:m])
         weighting = Weighting(tuple(w / scale for w in x[:m]))
-        common = sum(w for w, bit in zip(weighting.weights, vectors[0]) if bit)
+        common = sum(w for w, bit in zip(weighting.weights, first) if bit)
         return Witness(weighting=weighting, common_weight=Fraction(common))
 
     # LP2: find y with y.B >= 0, y.B != 0 (exists by Stiemke's alternative).
@@ -355,7 +364,7 @@ def decide_uniform_weighting(vectors: Sequence[IncidenceVector]) -> FeasibilityO
     if total <= ZERO:
         raise AssertionError("Stiemke alternative violated: no certificate found")
     ys = [x2[j] - x2[r + j] for j in range(r)]
-    return _refutation(vectors, ys, rows, pivots, used)
+    return _refutation(masks, ys, rows, pivots, used)
 
 
 def verify_outcome(vectors: Sequence[IncidenceVector], outcome: FeasibilityOutcome) -> bool:
@@ -412,8 +421,7 @@ def omega_oracle(g: Graph, cap: int = DEFAULT_CAP) -> OracleResult:
         return OracleResult(verdict=Verdict.VACUOUS)
     except CapExceeded:
         return OracleResult(verdict=Verdict.CAP_EXCEEDED)
-    vectors = incidence_vectors(factors, g.m)
-    outcome = decide_uniform_weighting(vectors)
+    outcome = decide_uniform_weighting(factors, g.m)
     if isinstance(outcome, Witness):
         return OracleResult(
             verdict=Verdict.MEMBER, witness=outcome, factor_count=len(factors)

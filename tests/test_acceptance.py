@@ -209,7 +209,7 @@ def test_criterion_6_certificate_exclusivity():
                 enum_mismatches.append(g.edges)
                 continue
             vecs = incidence_vectors(factors, g.m)
-            outcome = decide_uniform_weighting(vecs)
+            outcome = decide_uniform_weighting(factors, g.m)
             if not isinstance(outcome, (Witness, Refutation)):
                 bad_certificates.append(g.edges)
             elif not verify_outcome(vecs, outcome):

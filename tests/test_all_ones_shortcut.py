@@ -75,9 +75,9 @@ def reference_lp1_witness(vectors) -> Witness:
 
 
 @st.composite
-def uniform_vectors(draw):
-    """Incidence vectors of a graph with n <= 7 and m <= 12 whose
-    star-factors all have one edge count."""
+def uniform_factors(draw):
+    """(edge masks, m) of the star-factors of a graph with n <= 7 and
+    m <= 12 whose star-factors all have one edge count."""
     n = draw(st.integers(min_value=2, max_value=7))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = set(draw(st.lists(st.sampled_from(pairs), max_size=12, unique=True)))
@@ -92,13 +92,15 @@ def uniform_vectors(draw):
     except VacuousGraph:
         assume(False)
     assume(len(edge_count_spectrum(factors)) == 1)
-    return incidence_vectors(factors, g.m)
+    return factors, g.m
 
 
-@given(uniform_vectors())
+@given(uniform_factors())
 @settings(max_examples=300, deadline=None)
-def test_shortcut_equals_lp1(vectors):
-    assert decide_uniform_weighting(vectors) == reference_lp1_witness(vectors)
+def test_shortcut_equals_lp1(factors_and_m):
+    factors, m = factors_and_m
+    expected = reference_lp1_witness(incidence_vectors(factors, m))
+    assert decide_uniform_weighting(factors, m) == expected
 
 
 def test_several_edge_counts_keep_the_lp_witness():
@@ -107,7 +109,7 @@ def test_several_edge_counts_keep_the_lp_witness():
     factors = enumerate_star_factors(g)
     assert len(edge_count_spectrum(factors)) > 1
     vectors = incidence_vectors(factors, g.m)
-    outcome = decide_uniform_weighting(vectors)
+    outcome = decide_uniform_weighting(factors, g.m)
     assert outcome == reference_lp1_witness(vectors)
     assert len(set(outcome.weighting.weights)) > 1
     assert verify_outcome(vectors, outcome)

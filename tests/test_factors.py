@@ -1,6 +1,8 @@
 """Star-factor enumeration against the 2^m brute-force subset filter."""
 
 import itertools
+import signal
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from starfactor.factors import (
     incidence_vectors,
 )
 from starfactor.graph import Graph
+from starfactor.solver import Verdict, omega_oracle
 
 from conftest import (
     brute_star_factor_edge_sets,
@@ -245,3 +248,73 @@ class TestCoordinates:
         g = disjoint_union(path(3), path(3))
         spectrum = edge_count_spectrum(enumerate_star_factors(g))
         assert dict(spectrum) == {4: 1}
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass,
+    so an exponential search fails the test instead of hanging it."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def caterpillar(legs: list[int]) -> Graph:
+    """The path 0..k-1 with legs[i] pendant vertices on path vertex i."""
+    n = len(legs)
+    edges = [(i, i + 1) for i in range(n - 1)]
+    for i, count in enumerate(legs):
+        edges += [(i, v) for v in range(n, n + count)]
+        n += count
+    return Graph.from_edges(n, edges)
+
+
+class TestPendantLeaves:
+    """A center's pendant neighbors are forced leaves: a center with k of
+    them costs one star, where walking its 2^k leaf sets took hours for
+    k = 40.  Each search here takes well under a millisecond."""
+
+    @pytest.mark.parametrize("center", [0, 40])
+    def test_star_with_forty_leaves(self, center):
+        leaves = [v for v in range(41) if v != center]
+        g = Graph.from_edges(41, [(center, v) for v in leaves])
+        with time_limit(1.0):
+            factors = enumerate_star_factors(g)
+        assert factor_stars(g, factors[0]) == ((center, tuple(leaves)),)
+        assert len(factors) == 1
+
+    def test_caterpillar_with_thirty_legs_on_its_lowest_vertex(self):
+        # path vertices with legs are centers holding all their legs; path
+        # vertex 2 has none and joins the star of 1 or of 3: two factors
+        g = caterpillar([30, 2, 0, 3, 1])
+        assert g.n == 41 and len(g.adjacency[0]) == 31
+        with time_limit(1.0):
+            factors = enumerate_star_factors(g)
+        assert len(factors) == 2
+        for mask in factors:
+            # 0's legs are 5..34, its neighbor 1 is a center of its own
+            assert dict(factor_stars(g, mask))[0] == tuple(range(5, 35))
+
+    def test_vertex_with_a_pendant_neighbor_is_never_a_leaf(self):
+        # spokes 0..29 each hold a leg (30 + i) and meet at hub 60, so every
+        # spoke is a center and the hub joins one of them: 30 factors.  Were
+        # spoke v tried as a leaf of the hub, the hub's 2^29 leaf sets of
+        # other spokes would be walked, each one cut
+        g = Graph.from_edges(61, [(i, 30 + i) for i in range(30)] + [(i, 60) for i in range(30)])
+        with time_limit(1.0):
+            factors = enumerate_star_factors(g)
+        assert len(factors) == 30
+
+    def test_oracle_on_a_star_with_forty_leaves(self):
+        with time_limit(1.0):
+            result = omega_oracle(star(40))
+        assert result.verdict is Verdict.MEMBER
+        assert result.factor_count == 1

@@ -1,0 +1,281 @@
+"""The decision on edge masks against the decision on incidence vectors.
+
+``reference_decide_uniform_weighting`` and ``reference_refutation`` below
+are an earlier ``solver.decide_uniform_weighting`` and
+``solver._refutation``, kept verbatim apart from their names.  They read
+every factor as an m-tuple of 0/1 entries: the oracle built one tuple per
+factor with ``incidence_vectors`` (847 for K7, 5,041 for K8) and summed
+each for the all-ones shortcut.  The current decision takes the factors'
+edge masks as ``enumerate_star_factors`` returns them.  It compares bit
+counts for the shortcut, reads a row x_i - x_1 of D off two masks only
+when the row basis asks for it, and reads the certificate's system off
+the masks' bits.  The same rows reach the same ``_reduce_rows`` in the
+same order, so every outcome must be the same to the byte: ``repr`` is
+compared on every connected isomorphism class with n <= 7 and on random
+graphs with n <= 10.  Two more tests check that the oracle builds no
+incidence vector, and that K7's and K8's decisions form the D rows up to
+full rank and no more.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from itertools import combinations
+from operator import mul
+from typing import Sequence
+
+import pytest
+from hypothesis import assume, given, settings
+
+import starfactor
+from starfactor import factors, simplex, solver
+from starfactor.census import _connected_classes
+from starfactor.factors import (
+    CapExceeded,
+    IncidenceVector,
+    VacuousGraph,
+    enumerate_star_factors,
+    incidence_vectors,
+)
+from starfactor.graph import Graph
+from starfactor.solver import (
+    ONE,
+    ZERO,
+    FeasibilityOutcome,
+    Refutation,
+    Verdict,
+    Weighting,
+    Witness,
+    _reduce_rows,
+    decide_uniform_weighting,
+    omega_oracle,
+)
+
+from conftest import cycle, double_star_graph, path, petersen
+from test_enumerator_equivalence import any_graphs
+
+
+def reference_refutation(
+    vectors: Sequence[IncidenceVector],
+    ys: Sequence[Fraction],
+    rows: list[list[int]],
+    pivots: list[int],
+    used: list[int],
+) -> Refutation:
+    """The certificate y.B with B the reduced basis, and its coefficients on D.
+
+    y.B is summed in integers over one common denominator.  The used D
+    rows are independent, so the coefficients c are unique; on the pivot
+    columns y.B equals y, so they solve the r x r system A c = y with
+    A[j][t] = D[used_t][pivot_j], read off the incidence vectors as
+    x_{used_t+2}[p] - x_1[p].  Its k-th leading minor, the first k used
+    rows read on the first k pivots, is nonzero: those rows span the basis
+    as it stood when the k-th of them entered, and that basis is zero at
+    each other's pivots and nonzero at its own.  So Bareiss's fraction-free
+    elimination runs without row exchanges: each step divides exactly by
+    the step before's pivot, and the last pivot is the determinant det.
+    An equation whose pivot would be negative is negated, which changes no
+    solution; with consecutive pivots equal, a row with no entry to clear
+    stays as it is.  Integer back substitution on A c = scale * y, scale
+    the lcm of y's denominators, then gives X = det * scale * c (Cramer's
+    rule), and c = X / (det * scale).
+    """
+    # forced_zero = sum_j y_j b_j / b_j[p_j], times the lcm of those denominators
+    terms = [(y, row, y.denominator * row[p]) for y, row, p in zip(ys, rows, pivots) if y]
+    denominator = math.lcm(*(d for _, _, d in terms))
+    totals = [0] * len(rows[0])
+    for y, row, d in terms:
+        weight = y.numerator * (denominator // d)
+        totals = [total + weight * x for total, x in zip(totals, row)]
+    forced = tuple(Fraction(total, denominator) if total else ZERO for total in totals)
+
+    r = len(rows)
+    scale = math.lcm(*(y.denominator for y in ys))
+    first = vectors[0]
+    columns = [vectors[t + 1] for t in used]
+    a = []
+    for y, p in zip(ys, pivots):
+        x1 = first[p]
+        a.append([x[p] - x1 for x in columns] + [y.numerator * (scale // y.denominator)])
+    previous = 1
+    for k in range(r - 1):
+        head = a[k]
+        if head[k] < 0:
+            head[k:] = [-x for x in head[k:]]
+        pivot = head[k]
+        tail = head[k + 1 :]
+        # entries left of k + 1 are never read again, so they keep their values
+        for row in a[k + 1 :]:
+            f = row[k]
+            if f:
+                row[k + 1 :] = [(x * pivot - f * h) // previous for x, h in zip(row[k + 1 :], tail)]
+            elif pivot != previous:
+                row[k + 1 :] = [x * pivot // previous for x in row[k + 1 :]]
+        previous = pivot
+    det = a[-1][-2]
+    xs = [0] * r
+    for t in range(r - 1, -1, -1):
+        row = a[t]
+        xs[t] = (det * row[r] - sum(map(mul, row[t + 1 : r], xs[t + 1 :]))) // row[t]
+    coeffs = [ZERO] * (len(vectors) - 1)
+    for t, x in zip(used, xs):
+        coeffs[t] = Fraction(x, det * scale)
+    return Refutation(coeffs=tuple(coeffs), forced_zero=forced)
+
+
+def reference_decide_uniform_weighting(vectors: Sequence[IncidenceVector]) -> FeasibilityOutcome:
+    """Exact decision: uniform positive weighting, or a Stiemke certificate."""
+    if not vectors:
+        raise ValueError("at least one incidence vector required")
+    m = len(vectors[0])
+    if any(len(v) != m for v in vectors):
+        raise ValueError("incidence vectors must all have the same length")
+    # Every factor has the same edge count iff D 1 = 0, and then t <= w_e <= 1
+    # makes t = 1, w = 1 LP1's unique optimum: its witness is all ones.
+    edge_count = sum(vectors[0])
+    if all(sum(v) == edge_count for v in vectors):
+        return Witness(weighting=Weighting.constant(m), common_weight=Fraction(edge_count))
+    # D's rows x_i - x_1 (i >= 2) are formed only as the row basis reads them.
+    first = vectors[0]
+    rows, pivots, used = _reduce_rows([a - b for a, b in zip(v, first)] for v in vectors[1:])
+
+    # A one-signed basis row is already a certificate; its pivot entry is
+    # positive, so it is nonnegative.
+    r = len(rows)
+    for j, row in enumerate(rows):
+        if all(x >= 0 for x in row):
+            ys = [ZERO] * r
+            ys[j] = ONE
+            return reference_refutation(vectors, ys, rows, pivots, used)
+
+    # The reduced basis, each row divided by its pivot entry.
+    basis = [
+        row if row[p] == 1 else [Fraction(x, row[p]) if x else 0 for x in row]
+        for row, p in zip(rows, pivots)
+    ]
+    # LP1 variables: w_0..w_{m-1}, t, surplus s_e (w_e - t >= 0), slack u_e (w_e <= 1)
+    nvars = 3 * m + 1
+    lp_rows: list[list[Fraction | int]] = [[*brow, *[0] * (2 * m + 1)] for brow in basis]
+    rhs: list[int] = [0] * r
+    for e in range(m):
+        row = [0] * nvars
+        row[e] = 1
+        row[m] = -1
+        row[m + 1 + e] = -1
+        lp_rows.append(row)
+        rhs.append(0)
+    for e in range(m):
+        row = [0] * nvars
+        row[e] = 1
+        row[2 * m + 1 + e] = 1
+        lp_rows.append(row)
+        rhs.append(1)
+    c = [0] * nvars
+    c[m] = 1
+    t_opt, x = simplex.solve(c, lp_rows, rhs)
+    if t_opt > ZERO:
+        scale = min(x[:m])
+        weighting = Weighting(tuple(w / scale for w in x[:m]))
+        common = sum(w for w, bit in zip(weighting.weights, vectors[0]) if bit)
+        return Witness(weighting=weighting, common_weight=Fraction(common))
+
+    # LP2: find y with y.B >= 0, y.B != 0 (exists by Stiemke's alternative).
+    # Variables: p_j, q_j (y_j = p_j - q_j), s_e = (y.B)_e, slack u_e (s_e <= 1).
+    nvars2 = 2 * r + 2 * m
+    rows2: list[list[Fraction | int]] = []
+    rhs2: list[int] = []
+    for e in range(m):
+        row = [0] * nvars2
+        for j, brow in enumerate(basis):
+            row[j] = brow[e]
+            row[r + j] = -brow[e]
+        row[2 * r + e] = -1
+        rows2.append(row)
+        rhs2.append(0)
+    for e in range(m):
+        row = [0] * nvars2
+        row[2 * r + e] = 1
+        row[2 * r + m + e] = 1
+        rows2.append(row)
+        rhs2.append(1)
+    c2 = [0] * nvars2
+    for e in range(m):
+        c2[2 * r + e] = 1
+    total, x2 = simplex.solve(c2, rows2, rhs2)
+    if total <= ZERO:
+        raise AssertionError("Stiemke alternative violated: no certificate found")
+    ys = [x2[j] - x2[r + j] for j in range(r)]
+    return reference_refutation(vectors, ys, rows, pivots, used)
+
+
+def complete(n: int) -> Graph:
+    return Graph.from_edges(n, combinations(range(n), 2))
+
+
+def same_outcome(masks: list[int], m: int) -> bool:
+    expected = reference_decide_uniform_weighting(incidence_vectors(masks, m))
+    return repr(decide_uniform_weighting(masks, m)) == repr(expected)
+
+
+def test_every_connected_class_up_to_seven_vertices():
+    classes = _connected_classes(7, None)
+    graphs = [g for n in range(2, 8) for g, _ in classes[n]]
+    assert len(graphs) == 995  # OEIS A001349, n = 2..7
+    mismatches = [g.edges for g in graphs if not same_outcome(enumerate_star_factors(g), g.m)]
+    assert mismatches == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_graphs(max_n=10))
+def test_same_outcome_on_random_graphs(g):
+    try:
+        masks = enumerate_star_factors(g, cap=2000)
+    except (VacuousGraph, CapExceeded):
+        assume(False)
+    assert same_outcome(masks, g.m)
+
+
+NAMED = {
+    "c12": (cycle(12), Verdict.NOT_MEMBER),
+    "p14": (path(14), Verdict.NOT_MEMBER),
+    "petersen": (petersen(), Verdict.NOT_MEMBER),
+    "double_star": (double_star_graph(), Verdict.MEMBER),
+    "k7": (complete(7), Verdict.NOT_MEMBER),
+    "matching14": (Graph.from_edges(28, [(2 * i, 2 * i + 1) for i in range(14)]), Verdict.MEMBER),
+}
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_oracle_builds_no_incidence_vector(name, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the oracle built incidence vectors")
+
+    for module in (starfactor, factors, solver):
+        monkeypatch.setattr(module, "incidence_vectors", refused, raising=False)
+    g, verdict = NAMED[name]
+    result = omega_oracle(g)
+    assert result.verdict is verdict
+    monkeypatch.undo()
+    assert same_outcome(enumerate_star_factors(g), g.m)
+
+
+@pytest.mark.parametrize("n, factor_count, rows", [(7, 847, 187), (8, 5041, 953)])
+def test_decision_forms_the_rows_up_to_full_rank_only(n, factor_count, rows, monkeypatch):
+    # one mask_bits call reads x_1 and one forms each row x_i - x_1 that
+    # the row basis asks for; it stops asking at full rank m
+    calls = [0]
+    mask_bits = solver.mask_bits
+
+    def counted(mask, m):
+        calls[0] += 1
+        return mask_bits(mask, m)
+
+    monkeypatch.setattr(solver, "mask_bits", counted)
+    g = complete(n)
+    masks = enumerate_star_factors(g)
+    outcome = decide_uniform_weighting(masks, g.m)
+    assert len(masks) == factor_count
+    assert isinstance(outcome, Refutation)
+    assert calls[0] == 1 + rows
+    assert solver.verify_outcome(incidence_vectors(masks, g.m), outcome)

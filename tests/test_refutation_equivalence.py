@@ -4,9 +4,10 @@ reduction it replaced.
 ``reference_refutation`` below is an earlier ``solver._refutation``, kept
 verbatim apart from its name.  It summed ``forced_zero`` in Fractions and
 solved the r x r coefficient system with the general row reduction
-``_reduce_rows``.  The current ``_refutation`` sums over one common
-denominator and solves the system by fraction-free elimination with no
-row exchange.  The coefficients are unique, so wherever y is integral
+``_reduce_rows``.  The current ``_refutation`` reads the factors' edge
+masks where the reference reads their incidence vectors, sums over one
+common denominator and solves the system by fraction-free elimination
+with no row exchange.  The coefficients are unique, so wherever y is integral
 both must return equal ``Refutation``s.  That covers every refutation the
 oracle makes for a connected graph with n <= 6 (54 of them come from LP2,
 whose y is not a unit vector).  No graph up to n = 7 gives a y with a
@@ -96,8 +97,9 @@ def connected_graph_refutations():
     mismatches = []
     singular = []
 
-    def compared(vectors, ys, rows, pivots, used):
-        got = _refutation(vectors, ys, rows, pivots, used)
+    def compared(masks, ys, rows, pivots, used):
+        got = _refutation(masks, ys, rows, pivots, used)
+        vectors = incidence_vectors(masks, len(rows[0]))
         seen[0] += 1
         seen[1] += sorted(ys) != [ZERO] * (len(ys) - 1) + [1]
         if got != reference_refutation(vectors, ys, rows, pivots, used):
@@ -139,15 +141,16 @@ def combination(vectors, coeffs) -> tuple[Fraction, ...]:
 @given(any_graphs(max_n=7), st.data())
 def test_random_basis_and_rational_y(g, data):
     try:
-        vectors = incidence_vectors(enumerate_star_factors(g, cap=1000), g.m)
+        masks = enumerate_star_factors(g, cap=1000)
     except (VacuousGraph, CapExceeded):
         assume(False)
+    vectors = incidence_vectors(masks, g.m)
     rows, pivots, used = _reduce_rows([a - b for a, b in zip(v, vectors[0])] for v in vectors[1:])
     assume(rows)
     y = st.fractions(min_value=-3, max_value=3, max_denominator=6)
     ys = data.draw(st.lists(y, min_size=len(rows), max_size=len(rows)))
     assume(any(ys))
-    got = _refutation(vectors, ys, rows, pivots, used)
+    got = _refutation(masks, ys, rows, pivots, used)
     expected = reference_refutation(vectors, ys, rows, pivots, used)
     assert got.forced_zero == expected.forced_zero
     assert combination(vectors, got.coeffs) == got.forced_zero

@@ -149,8 +149,8 @@ def test_k7_decision_reads_only_the_rows_up_to_full_rank(monkeypatch):
 
     monkeypatch.setattr(solver, "_reduce_rows", counting_reduce_rows)
     k7 = Graph.from_edges(7, [(u, v) for u in range(7) for v in range(u + 1, 7)])
-    vectors = incidence_vectors(enumerate_star_factors(k7), k7.m)
-    outcome = solver.decide_uniform_weighting(vectors)
-    assert len(vectors) - 1 == 846
+    masks = enumerate_star_factors(k7)
+    outcome = solver.decide_uniform_weighting(masks, k7.m)
+    assert len(masks) - 1 == 846
     assert reads[0] == 187
-    assert solver.verify_outcome(vectors, outcome)
+    assert solver.verify_outcome(incidence_vectors(masks, k7.m), outcome)

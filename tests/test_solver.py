@@ -27,6 +27,12 @@ def vectors_of(g):
     return incidence_vectors(enumerate_star_factors(g), g.m)
 
 
+def decided(g):
+    """g's incidence vectors, for the verifier, and the decision on its factor masks."""
+    masks = enumerate_star_factors(g)
+    return incidence_vectors(masks, g.m), decide_uniform_weighting(masks, g.m)
+
+
 class TestSimplex:
     def test_basic_maximization(self):
         # max x + y st x + y <= 4, x <= 3 (as equalities with slacks)
@@ -76,52 +82,50 @@ class TestWeighting:
 
 class TestDecision:
     def test_c5_member_constant(self):
-        outcome = decide_uniform_weighting(vectors_of(cycle(5)))
+        _, outcome = decided(cycle(5))
         assert isinstance(outcome, Witness)
         assert outcome.weighting.weights == (Fraction(1),) * 5
         assert outcome.common_weight == 3
 
     def test_c6_refuted_and_certificate_checks(self):
-        vecs = vectors_of(cycle(6))
-        outcome = decide_uniform_weighting(vecs)
+        vecs, outcome = decided(cycle(6))
         assert isinstance(outcome, Refutation)
         assert verify_outcome(vecs, outcome)
 
     def test_p6_member_nonconstant(self):
         # [DERIVED: P6's two factors have 3 and 4 edges, so constant fails
         # but alternating heavier end-edges equalize them]
-        vecs = vectors_of(path(6))
-        outcome = decide_uniform_weighting(vecs)
+        vecs, outcome = decided(path(6))
         assert isinstance(outcome, Witness)
         assert verify_outcome(vecs, outcome)
         assert len(set(outcome.weighting.weights)) > 1
 
     def test_single_factor_trivially_member(self):
-        vecs = vectors_of(star(3))
-        outcome = decide_uniform_weighting(vecs)
+        _, outcome = decided(star(3))
         assert isinstance(outcome, Witness)
         assert outcome.weighting.weights == (Fraction(1),) * 3
         assert outcome.common_weight == 3
 
     def test_every_member_witness_verifies(self):
         for g in [cycle(5), cycle(7), path(7), spider(3), double_star_graph()]:
-            vecs = vectors_of(g)
-            outcome = decide_uniform_weighting(vecs)
+            vecs, outcome = decided(g)
             assert isinstance(outcome, Witness)
             assert verify_outcome(vecs, outcome)
 
     def test_every_refutation_verifies(self):
         for g in [cycle(6), cycle(8), path(8), petersen()]:
-            vecs = vectors_of(g)
-            outcome = decide_uniform_weighting(vecs)
+            vecs, outcome = decided(g)
             assert isinstance(outcome, Refutation)
             assert verify_outcome(vecs, outcome)
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            decide_uniform_weighting([])
+            decide_uniform_weighting([], 2)
+        # a mask with a bit at or above m, or a negative one, names no edge
         with pytest.raises(ValueError):
-            decide_uniform_weighting([(1,), (1, 0)])
+            decide_uniform_weighting([0b01, 0b100], 2)
+        with pytest.raises(ValueError):
+            decide_uniform_weighting([0b01, -1], 2)
 
 
 class TestVerifier:
@@ -136,8 +140,7 @@ class TestVerifier:
         assert not verify_outcome(vecs, bad)
 
     def test_rejects_tampered_refutation(self):
-        vecs = vectors_of(cycle(6))
-        outcome = decide_uniform_weighting(vecs)
+        vecs, outcome = decided(cycle(6))
         assert isinstance(outcome, Refutation)
         # flip the recorded combination without recomputing forced_zero
         tampered = Refutation(
@@ -171,8 +174,7 @@ class TestVerifier:
     def test_rejects_common_weight_off_the_weights_lattice(self):
         # every factor weight is a multiple of 1/L, with L the lcm of the
         # weights' denominators; a common weight that is not is never met
-        vecs = vectors_of(path(6))
-        outcome = decide_uniform_weighting(vecs)
+        vecs, outcome = decided(path(6))
         scale = math.lcm(*(w.denominator for w in outcome.weighting.weights))
         assert verify_outcome(vecs, outcome)
         off = Witness(outcome.weighting, outcome.common_weight + Fraction(1, 2 * scale))
@@ -189,8 +191,7 @@ class TestVerifier:
 
     def test_rejects_sign_flipped_coefficient(self):
         # the stated vector is the true combination, but one entry is negative
-        vecs = vectors_of(petersen())
-        outcome = decide_uniform_weighting(vecs)
+        vecs, outcome = decided(petersen())
         for i, c in enumerate(outcome.coeffs):
             if c:
                 coeffs = list(outcome.coeffs)
@@ -203,8 +204,7 @@ class TestVerifier:
         assert not verify_outcome(vecs, Refutation(tuple(coeffs), forced))
 
     def test_rejects_short_coeffs_or_forced_zero(self):
-        vecs = vectors_of(cycle(6))
-        outcome = decide_uniform_weighting(vecs)
+        vecs, outcome = decided(cycle(6))
         assert verify_outcome(vecs, outcome)
         assert not verify_outcome(vecs, Refutation(outcome.coeffs[:-1], outcome.forced_zero))
         assert not verify_outcome(vecs, Refutation(outcome.coeffs, outcome.forced_zero[:-1]))
@@ -225,8 +225,7 @@ PERTURBED_GRAPHS = [cycle(5), cycle(6), path(6), path(8), spider(3), double_star
 def test_integer_verifier_agrees_with_fraction_sums(k, kind, index, delta):
     # a weight or coefficient moved, or the stated common weight or forced entry:
     # the integer re-check and the earlier Fraction sums give one answer
-    vecs = vectors_of(PERTURBED_GRAPHS[k])
-    outcome = decide_uniform_weighting(vecs)
+    vecs, outcome = decided(PERTURBED_GRAPHS[k])
     if isinstance(outcome, Witness):
         weights = list(outcome.weighting.weights)
         common = outcome.common_weight
@@ -257,8 +256,7 @@ def _combination(vecs, coeffs):
 
 
 def _refutation_with_fractional_coeffs():
-    vecs = vectors_of(HALVES)
-    outcome = decide_uniform_weighting(vecs)
+    vecs, outcome = decided(HALVES)
     assert isinstance(outcome, Refutation)
     assert math.lcm(*(c.denominator for c in outcome.coeffs if c)) == 2
     return vecs, outcome

@@ -2,7 +2,7 @@
 
 ``tests/data/solver_golden.json`` maps a graph's graph6 string to the
 sha256 of ``repr(decide_uniform_weighting(...))`` on its star-factor
-incidence vectors, so every weight, common weight, certificate
+edge masks, so every weight, common weight, certificate
 coefficient and forced-zero entry is pinned down to the byte.  The graphs
 are every connected graph on 2 to 5 vertices, the connected six-vertex
 graphs whose refutation needs the second LP (found by counting
@@ -23,7 +23,7 @@ import pytest
 
 from starfactor import simplex
 from starfactor.census import generate_connected
-from starfactor.factors import enumerate_star_factors, incidence_vectors
+from starfactor.factors import enumerate_star_factors
 from starfactor.graph import Graph, parse_graph6, to_graph6
 from starfactor.solver import decide_uniform_weighting
 
@@ -45,7 +45,7 @@ def _fixed_graphs() -> list[Graph]:
 
 
 def _digest(g: Graph) -> str:
-    outcome = decide_uniform_weighting(incidence_vectors(enumerate_star_factors(g), g.m))
+    outcome = decide_uniform_weighting(enumerate_star_factors(g), g.m)
     return hashlib.sha256(repr(outcome).encode()).hexdigest()
 
 
@@ -60,7 +60,7 @@ def _needs_second_lp(g: Graph) -> bool:
 
     simplex.solve = counting
     try:
-        decide_uniform_weighting(incidence_vectors(enumerate_star_factors(g), g.m))
+        decide_uniform_weighting(enumerate_star_factors(g), g.m)
     finally:
         simplex.solve = solve
     return calls == 2
