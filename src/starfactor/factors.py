@@ -9,7 +9,11 @@ leaf pool, with the star's edges and neighbors one OR away from those of
 the submask less its low bit, and it takes a node's children one at a
 time from a generator, so a capped search on a dense graph stops early.
 A pendant vertex is forced into its neighbor's star before any submask
-is walked, so a center with many pendant neighbors costs one star.
+is walked, and that neighbor (a stem) is a leaf of no other center, so
+a center with k pendant neighbors costs one star and a center with k
+stems around it k stars, not 2^k.  A node with four or fewer uncovered
+vertices is not searched: the shape of what is left fixes its few
+completions, worked out once per vertex set and appended at once.
 
 A factor is its edge set, an int mask (bit i for edge i) accumulated as
 stars are placed; the oracle reads nothing else.  No star-factor's edge
@@ -68,12 +72,32 @@ def enumerate_star_factors(g: Graph, cap: int = DEFAULT_CAP) -> list[int]:
     A pendant vertex (degree 1) has its one edge in every factor.  So the
     pool's pendant vertices are forced leaves: they join the star before
     the walk, which runs over the rest of the pool and counts the forced
-    leaves alone as one more leaf set.  When v has an uncovered pendant
-    neighbor, v is a center, and the choices that make v a leaf are not
-    tried.  Every leaf set this skips would leave a pendant vertex with no
-    uncovered neighbor and be cut, so the factors are the same, but a
-    center with k pendant neighbors costs one star instead of 2^k: a star
-    K_{1,k} has one factor and is found in O(k) steps.
+    leaves alone as one more leaf set.  A stem, a vertex with a pendant
+    neighbor, is in that neighbor's star in every factor, so it is a leaf
+    of no other center: the pool of a center that is not pendant leaves
+    the stems out, and a choice whose pool is then empty is not tried (v
+    with only stems around it is a leaf of one of them).  When v is a
+    stem, its pendant neighbor is uncovered as v is, so v is a center, and
+    the choices that make v a leaf are not tried.  Every leaf set these
+    rules skip would leave a pendant vertex with no uncovered neighbor, so
+    the factors are the same, but a center with k pendant neighbors costs
+    one star instead of 2^k (a star K_{1,k} has one factor and is found in
+    O(k) steps), and a center with k stems around it costs k stars: the
+    star with each edge subdivided, whose k factors took 2^k leaf sets,
+    takes O(k^2) steps.
+
+    A child that passes the cut with at most four uncovered vertices L is
+    finished where it is made instead of becoming a node.  Each vertex of
+    L has a neighbor in L, so g[L] has a star-factor, and on four or fewer
+    vertices a star-factor has one of three shapes, as a bare vertex is
+    not a star: on 2 vertices, their edge; on 3, one K_{1,2}, centered at
+    each vertex next to the other two; on 4, one K_{1,3}, centered at each
+    vertex next to the other three, or two K_{1,1}, the lowest vertex a
+    with a neighbor b when the other two are adjacent too (a K_{1,2} would
+    leave the fourth vertex bare).  These completions are worked out once
+    per L and kept by L's mask; each is ORed into the child's edge mask
+    and appended with its own cap check.  The search on K_7 opens 7 nodes
+    instead of 474, and on the Petersen graph 56 instead of 298.
 
     Each node is a generator that yields its children one at a time, and
     the search keeps one per node on its path: the next child is made only
@@ -99,41 +123,90 @@ def enumerate_star_factors(g: Graph, cap: int = DEFAULT_CAP) -> list[int]:
     if g.n == 0:
         return [0]
     m = g.m
+    bit_of = [1 << v for v in range(g.n)]
     # keyed by a vertex's bit: its neighbor mask, and each neighbor's bit to
     # the edge's bits in both halves of the accumulated mask; key 0, the
     # empty submask, maps to 0 in both, for a star of forced leaves alone
-    reach: dict[int, int] = {0: 0}
-    edge_bits: dict[int, dict[int, int]] = {}
-    leaves = 0  # the pendant vertices: each one's single edge is in every factor
-    for v, ns in enumerate(g.adjacency):
-        reach[1 << v] = sum(1 << u for u in ns)
-        edge_bits[1 << v] = {0: 0}
-        if len(ns) == 1:
-            leaves |= 1 << v
+    reach: dict[int, int] = dict.fromkeys(bit_of, 0)
+    reach[0] = 0
+    edge_bits: dict[int, dict[int, int]] = {bit: {0: 0} for bit in bit_of}
     for i, (u, v) in enumerate(g.edges):
-        edge_bits[1 << u][1 << v] = edge_bits[1 << v][1 << u] = 1 << (2 * m - 1 - i) | 1 << i
+        bit_u = bit_of[u]
+        bit_v = bit_of[v]
+        reach[bit_u] |= bit_v
+        reach[bit_v] |= bit_u
+        edge_bits[bit_u][bit_v] = edge_bits[bit_v][bit_u] = 1 << (2 * m - 1 - i) | 1 << i
+    leaves = 0  # the pendant vertices: each one's single edge is in every factor
+    stems = 0  # their neighbors, each in the star of its pendant neighbor
+    for bit, ns in zip(bit_of, g.adjacency):
+        if len(ns) == 1:
+            leaves |= bit
+            stems |= bit_of[ns[0]]
+    joinable = ~stems  # the leaves a center that is not pendant may take
     found: list[int] = []
+    # keyed by an uncovered set of at most 4 vertices that passed the cut:
+    # the edge masks that complete a factor from it; each key gave at least
+    # one factor, so the dict grows no larger than ``found``
+    finishes: dict[int, list[int]] = {0: [0]}
+
+    def finish(left: int) -> list[int]:
+        """Edge masks of g[left]'s star-factors, for 2 to 4 vertices each
+        with a neighbor in ``left``."""
+        a = left & -left
+        others = left ^ a
+        if left.bit_count() == 2:
+            return [edge_bits[a][others]]
+        tails = []
+        # one star holding all of left, at each center next to all the rest
+        rest = left
+        while rest:
+            c = rest & -rest
+            rest ^= c
+            if reach[c] & left == left ^ c:
+                bits = edge_bits[c]
+                star = 0
+                leaf_set = left ^ c
+                while leaf_set:
+                    low = leaf_set & -leaf_set
+                    leaf_set ^= low
+                    star |= bits[low]
+                tails.append(star)
+        # on 4 vertices, two edges: a and a neighbor b, and the other two
+        # when they are adjacent (on 3, a alone is left over)
+        pair = reach[a] & others
+        while pair:
+            b = pair & -pair
+            pair ^= b
+            two = others ^ b
+            c = two & -two
+            if reach[c] & two:
+                tails.append(edge_bits[a][b] | edge_bits[c][two ^ c])
+        return tails
 
     def children(uncovered: int, edges: int) -> Iterator[tuple[int, int]]:
         """(uncovered mask, edge mask) of each child of the node that has
         the stars of ``edges`` placed and ``uncovered`` left to cover; a
-        child that covers everything is a factor and goes to ``found``."""
+        child that leaves 4 or fewer vertices is finished at once, its
+        factors going to ``found``."""
         v = uncovered & -uncovered
         free = uncovered ^ v
         # (leaf pool, uncovered mask with the center and any fixed leaf
         # removed, edge mask, neighbor mask, the center's edge bits); the
-        # pool of v is never empty, as the cut leaves no uncovered vertex
-        # without an uncovered neighbor
+        # pool of v is empty when all of v's uncovered neighbors are stems
+        # and v is not pendant, and then v is a leaf of one of them
         near_v = reach[v]
         around = near_v & free
-        choices = [(around, free, edges, near_v, edge_bits[v])]
-        # v with a pendant neighbor is that neighbor's center, never a leaf
-        if not around & leaves:
+        pool = around if v & leaves else around & joinable
+        choices = [(pool, free, edges, near_v, edge_bits[v])] if pool else []
+        # a stem v is its pendant neighbor's center, never a leaf; any other
+        # v has no pendant neighbor, so no u is pendant and u's pool leaves
+        # the stems out
+        if not v & stems:
             while around:
                 u = around & -around
                 around ^= u
                 near_u = reach[u]
-                pool = near_u & free
+                pool = near_u & free & joinable
                 if pool:
                     bits_u = edge_bits[u]
                     choices.append((pool, free ^ u, edges | bits_u[v], near_u | near_v, bits_u))
@@ -166,18 +239,22 @@ def enumerate_star_factors(g: Graph, cap: int = DEFAULT_CAP) -> list[int]:
                 edge_masks[k] = with_star = edge_masks[k - 1] | bits[low]
                 near_masks[k] = near = near_masks[k - 1] | reach[low]
                 left = rest ^ s
-                if left:
-                    # cut if an uncovered vertex next to the star has lost
-                    # its last uncovered neighbor; near stops at the lowest
-                    near &= left
-                    while near and reach[near & -near] & left:
-                        near &= near - 1
-                    if not near:
+                # cut if an uncovered vertex next to the star has lost its
+                # last uncovered neighbor; near stops at the lowest
+                near &= left
+                while near and reach[near & -near] & left:
+                    near &= near - 1
+                if not near:
+                    if left.bit_count() > 4:
                         yield left, with_star
-                else:
-                    found.append(with_star)
-                    if len(found) > cap:
-                        raise CapExceeded(cap)
+                    else:
+                        tails = finishes.get(left)
+                        if tails is None:
+                            tails = finishes[left] = finish(left)
+                        for tail in tails:
+                            found.append(with_star | tail)
+                            if len(found) > cap:
+                                raise CapExceeded(cap)
                 s = (s - pool) & pool
                 if not s:
                     break

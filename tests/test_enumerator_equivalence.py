@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from starfactor.census import generate_connected
 from starfactor.factors import DEFAULT_CAP, CapExceeded, VacuousGraph, enumerate_star_factors
-from starfactor.graph import Graph
+from starfactor.graph import Graph, induced_components
 
 from conftest import cycle, double_star_graph, path, petersen, star
 
@@ -198,3 +198,33 @@ def test_dense_graph_with_cap_stops_in_little_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("g", [complete(5), complete(6), petersen()], ids=["k5", "k6", "petersen"])
+def test_every_cap_up_to_one_past_the_count(g):
+    # the search finishes a node with 4 or fewer uncovered vertices inline,
+    # appending up to 3 factors at once; every cap must still be met at
+    # the count where the reference meets it
+    count = len(reference_enumerate_star_factors(g))
+    for cap in range(1, count + 2):
+        assert outcome(enumerate_star_factors, g, cap) == outcome(reference_enumerate_star_factors, g, cap), cap
+
+
+def test_every_labeled_graph_on_five_vertices_and_every_disconnected_one_on_six():
+    # connected or not: a remainder can be parts of two components.  One
+    # star is placed before any remainder is finished, so two disjoint
+    # edges are first finished inline on 6 vertices; the connected graphs
+    # on 6 are test_every_connected_labeled_graph's, and a graph with an
+    # isolated vertex has no factor
+    count = 0
+    for n in range(7):
+        pairs = list(combinations(range(n), 2))
+        for subset in range(1 << len(pairs)):
+            g = Graph(n, tuple(pair for i, pair in enumerate(pairs) if subset >> i & 1))
+            if n == 6 and (g.has_isolated_vertex() or len(induced_components(g)) == 1):
+                continue
+            assert outcome(enumerate_star_factors, g, 20_000) == outcome(reference_enumerate_star_factors, g, 20_000), g.edges
+            count += 1
+    # on 6: 15 perfect matchings, 15 * 38 of K_2 + a connected 4-vertex
+    # graph (OEIS A001187), 10 * 4 * 4 of two connected 3-vertex graphs
+    assert count == 1 + 1 + 2 + 8 + 64 + 1024 + 15 + 15 * 38 + 10 * 4 * 4

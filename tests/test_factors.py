@@ -318,3 +318,23 @@ class TestPendantLeaves:
             result = omega_oracle(star(40))
         assert result.verdict is Verdict.MEMBER
         assert result.factor_count == 1
+
+    def test_subdivided_star_with_forty_legs(self):
+        # each middle vertex holds its pendant end, and the center joins one
+        # of them: 40 factors.  Were a middle vertex tried as a leaf of the
+        # center, the center's 2^40 leaf sets of middle vertices would be
+        # walked, each one cut
+        g = spider(2, 40)
+        with time_limit(1.0):
+            factors = enumerate_star_factors(g)
+        assert len(factors) == 40
+        for mask in factors:
+            stars = factor_stars(g, mask)
+            assert len(stars) == 40
+            assert all(center % 2 == 1 for center, _ in stars)
+
+    def test_oracle_on_a_subdivided_star_with_forty_legs(self):
+        with time_limit(1.0):
+            result = omega_oracle(spider(2, 40))
+        assert result.verdict is Verdict.MEMBER
+        assert result.factor_count == 40
