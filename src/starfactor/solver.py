@@ -17,12 +17,15 @@ order:
    basis B of its row space (primitive rows, positive pivots).  D is
    never stored: each row is read off its mask only as the scan asks
    for it, and the scan ends once B has full rank m, which on K7 is
-   after 187 of its 846 rows.  A row is reduced against B on B's free
-   (non-pivot) columns only, where one combination decides whether it
-   lies in the span of B (166 of K7's 187 rows do); only a row that
-   enters B is written out in full.  A one-signed row of B is nonnegative and
-   nonzero, and no positive w is orthogonal to it: it is the
-   certificate.
+   after 187 of its 846 rows.  A row's reduction against B is linear in
+   the row, so it is kept packed: one int per edge holds the reduced unit
+   row in fields of W bits, with W wide enough that every reduced entry
+   is a unique balanced base-2^W digit.  The sum of those ints over a
+   mask's edges, less the sum over x_1's, is then zero exactly when the
+   row lies in the span of B (166 of K7's 187 rows do), and only a row
+   that enters B is unpacked into its entries.  A one-signed row of B is
+   nonnegative and nonzero, and no positive w is orthogonal to it: it is
+   the certificate.
 3. Otherwise LP1,
 
      maximize t  subject to  B w = 0,  w_e >= t,  w_e <= 1,
@@ -46,9 +49,11 @@ in integer sums.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, islice
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -145,9 +150,19 @@ class OracleResult:
     factor_count: int | None = None
 
 
-def _reduce_rows(d_rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int], list[int]]:
-    """Fraction-free row basis of the row space of D.
+@functools.lru_cache(maxsize=256)
+def _places(width: int, m: int) -> tuple[tuple[int, ...], int]:
+    """Place values 2^(f W) of fields 0..m-1 of ``width`` bits, and their
+    sum times 2^(W - 1)."""
+    powers = tuple(1 << f * width for f in range(m))
+    return powers, sum(powers) << width - 1
 
+
+def _reduce_rows(first: bytes, masks: Iterable[int]) -> tuple[list[list[int]], list[int], list[int]]:
+    """Fraction-free row basis of the row space of D, read off edge masks.
+
+    D has one row x - x_1 for each mask that ``masks`` yields, with x the
+    mask's bits and x_1 = ``first`` the first factor's (``mask_bits``).
     Returns (rows, pivots, used): each row is a primitive integer row,
     positive at its own pivot column and zero at the other rows' pivot
     columns, and used[j] is the index of the D row that entered the basis
@@ -156,56 +171,86 @@ def _reduce_rows(d_rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list
 
     Since every basis row b_j is zero at the other rows' pivots p_k, an
     incoming row x reduces to the one combination
-    L x - sum_j (L x[p_j] / b_j[p_j]) b_j, with L the lcm of the pivot
-    entries, and that combination is zero on every pivot column.  So it
-    is computed on the free (non-pivot) columns only, and the row is
-    skipped when it is zero there; only a row that enters is written out
-    in full, made primitive and cleared from the basis.  The rows are
-    read one at a time, and the scan stops as soon as the basis has as
-    many rows as D has columns: the basis then spans every row, so each
-    later row would reduce to zero and is never requested.
+    phi(x) = L x - sum_j (L / b_j[p_j]) x[p_j] b_j, with L the lcm of the
+    pivot entries.  phi(x) is zero on every pivot column, and it is zero
+    exactly when x lies in the span of the basis.  phi is linear, so it
+    is kept packed, one int per column e: P[e] = sum_f phi(u_e)[f] 2^(f W)
+    for the unit row u_e, which is L 2^(e W) on a free column and
+    L 2^(p_j W) - (L / b_j[p_j]) sum_f b_j[f] 2^(f W) on the pivot p_j.
+    phi(x) then packs to the sum of P over x's ones less base, the sum of
+    P over x_1's ones.  The entries of x are in {-1, 0, 1}, so with r
+    basis rows every |phi(x)[f]| is at most L (1 + r max|b|), and W is
+    kept so that this bound is below 2^(W - 1).  Digits in
+    (-2^(W - 1), 2^(W - 1)) in base 2^W are unique, so the packed sum is
+    zero exactly when every entry of phi(x) is: one sum decides that a
+    row adds nothing.  A row that enters is unpacked into its entries,
+    made primitive and cleared from the basis.  When the next row is
+    read, P changes only at the pivots of the basis rows that changed and
+    at the new pivot; when L changes or the bound outgrows W, every
+    column is packed again, with 2^(W - 1) at least 2^16 times the bound.
+    The rows are read one at a time, and the scan stops as soon as the
+    basis has as many rows as D has columns: the basis then spans every
+    row, so each later row would reduce to zero and is never requested.
     """
+    m = len(first)
     rows: list[list[int]] = []
     pivots: list[int] = []
     used: list[int] = []
-    free: list[int] = []
-    cols: list[tuple[int, ...]] = []  # the basis rows' entries in each free column
+    heads: list[int] = []  # heads[j] = b_j[p_j]
     lcm = 1
-    multipliers: list[int] = []  # lcm // b_j[p_j]
-    for i, x in enumerate(d_rows):
-        if rows:
-            # ks[j] = L x[p_j] / b_j[p_j]
-            ks = [x[p] for p in pivots]
-            if lcm > 1:
-                ks = [k * c for k, c in zip(ks, multipliers)]
-            values = [lcm * x[f] - sum(map(mul, ks, col)) for f, col in zip(free, cols)]
-            if not any(values):
-                continue
-            row = [0] * len(x)
-            for f, v in zip(free, values):
-                row[f] = v
-        elif any(x):
-            row = list(x)
-            free = list(range(len(x)))
-        else:
+    top = 0  # no basis entry is larger in absolute value
+    width = 18  # W for the bound 1 of an empty basis
+    powers, offset = _places(width, m)
+    half, ones = 1 << width - 1, (1 << width) - 1
+    packed = list(powers)  # P[e] = 2^(e W) while the basis is empty
+    base = sum(compress(packed, first))
+    changed: list[int] = []  # the rows whose P[p_j] is out of date
+    for i, mask in enumerate(masks):
+        if changed:
+            # P catches up with the last row to enter only when a row follows
+            touched = [rows[j] for j in changed]
+            top = max(top, max(map(max, touched)), -min(map(min, touched)))
+            new_lcm = math.lcm(*heads)
+            bound = new_lcm * (1 + len(rows) * top)
+            if new_lcm == lcm and bound.bit_length() < width:
+                for j, brow in zip(changed, touched):
+                    p = pivots[j]
+                    value = lcm * powers[p] - lcm // heads[j] * sum(map(mul, brow, powers))
+                    if first[p]:
+                        base += value - packed[p]
+                    packed[p] = value
+            else:
+                lcm = new_lcm
+                width = bound.bit_length() + 17
+                powers, offset = _places(width, m)
+                half, ones = 1 << width - 1, (1 << width) - 1
+                packed = [lcm * power for power in powers]
+                for brow, p, head in zip(rows, pivots, heads):
+                    packed[p] -= lcm // head * sum(map(mul, brow, powers))
+                base = sum(compress(packed, first))
+            changed = []
+        reduced = sum(compress(packed, mask_bits(mask, m))) - base
+        if not reduced:
             continue
-        pivot = next(k for k, v in enumerate(row) if v)
+        # adding 2^(W - 1) to every digit makes each one a W-bit field
+        fields = reduced + offset
+        row = [(fields >> k & ones) - half for k in range(0, m * width, width)]
+        # the lowest set bit lies in the lowest nonzero digit's field
+        pivot = ((reduced & -reduced).bit_length() - 1) // width
         row = simplex.primitive(row, pivot)
         # clear the new pivot column from the existing basis rows
         for j, brow in enumerate(rows):
             if brow[pivot]:
-                rows[j] = simplex.eliminate(brow, row, pivot)
+                rows[j] = brow = simplex.eliminate(brow, row, pivot)
+                heads[j] = brow[pivots[j]]
+                changed.append(j)
+        changed.append(len(rows))
         rows.append(row)
         pivots.append(pivot)
         used.append(i)
-        if len(rows) == len(row):
+        heads.append(row[pivot])
+        if len(rows) == m:
             break
-        free.remove(pivot)
-        heads = [brow[p] for brow, p in zip(rows, pivots)]
-        lcm = math.lcm(*heads)
-        multipliers = [lcm // h for h in heads]
-        columns = list(zip(*rows))
-        cols = [columns[f] for f in free]
     return rows, pivots, used
 
 
@@ -294,9 +339,7 @@ def decide_uniform_weighting(masks: Sequence[int], m: int) -> FeasibilityOutcome
         return Witness(weighting=Weighting.constant(m), common_weight=Fraction(masks[0].bit_count()))
     # D's rows x_i - x_1 (i >= 2) are formed only as the row basis reads them.
     first = mask_bits(masks[0], m)
-    rows, pivots, used = _reduce_rows(
-        [a - b for a, b in zip(mask_bits(mask, m), first)] for mask in masks[1:]
-    )
+    rows, pivots, used = _reduce_rows(first, islice(masks, 1, None))
 
     # A one-signed basis row is already a certificate; its pivot entry is
     # positive, so it is nonnegative.

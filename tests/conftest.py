@@ -1,9 +1,12 @@
-"""Shared graph builders and independent brute-force re-checkers.
+"""Shared graph builders, independent brute-force re-checkers and
+reference implementations.
 
 The brute-force helpers here deliberately avoid the library's own search
 logic: a star forest is recognized purely from subgraph degrees, and the
 girth re-check uses the edge-removal distance trick.  Frozen expected
-values in the tests were computed with these.
+values in the tests were computed with these.  ``reference_reduce_rows``
+is the row basis on explicit integer rows that the library's packed scan
+over edge masks replaced; the references that reduce rows use it.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from starfactor import simplex
 from starfactor.graph import Graph
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -220,6 +224,39 @@ def _bfs_dist_without_edge(g: Graph, src: int, dst: int, skip: int) -> int | Non
                     return dist[y]
                 queue.append(y)
     return dist.get(dst)
+
+
+# ------------------------------------------------------------ row basis
+
+def reference_reduce_rows(d_rows: list[list[int]]) -> tuple[list[list[int]], list[int], list[int]]:
+    """Fraction-free row basis of the row space of D.
+
+    Returns (rows, pivots, used): each row is a primitive integer row,
+    positive at its own pivot column and zero at the other rows' pivot
+    columns, and used[j] is the index of the D row that entered the basis
+    as row j.  Dividing each row by its pivot entry gives the unique
+    reduced basis of the row space with identity on the pivot columns.
+    """
+    rows: list[list[int]] = []
+    pivots: list[int] = []
+    used: list[int] = []
+    for i, raw in enumerate(d_rows):
+        row = list(raw)
+        for brow, p in zip(rows, pivots):
+            if row[p]:
+                row = simplex.eliminate(row, brow, p)
+        pivot = next((k for k, x in enumerate(row) if x), None)
+        if pivot is None:
+            continue
+        row = simplex.primitive(row, pivot)
+        # clear the new pivot column from the existing basis rows
+        for j, brow in enumerate(rows):
+            if brow[pivot]:
+                rows[j] = simplex.eliminate(brow, row, pivot)
+        rows.append(row)
+        pivots.append(pivot)
+        used.append(i)
+    return rows, pivots, used
 
 
 # --------------------------------------------------------------- the CLI

@@ -28,12 +28,11 @@ from starfactor.graph import Graph
 from starfactor.solver import (
     Weighting,
     Witness,
-    _reduce_rows,
     decide_uniform_weighting,
     verify_outcome,
 )
 
-from conftest import double_star_graph
+from conftest import double_star_graph, reference_reduce_rows
 
 
 def reference_lp1_witness(vectors) -> Witness:
@@ -41,7 +40,7 @@ def reference_lp1_witness(vectors) -> Witness:
     a positive optimum, so call it on members only."""
     m = len(vectors[0])
     d_rows = [[a - b for a, b in zip(v, vectors[0])] for v in vectors[1:]]
-    rows, pivots, _ = _reduce_rows(d_rows)
+    rows, pivots, _ = reference_reduce_rows(d_rows)
     r = len(rows)
     basis = [
         row if row[p] == 1 else [Fraction(x, row[p]) if x else 0 for x in row]

@@ -2,16 +2,19 @@
 
 ``reference_decide_uniform_weighting`` and ``reference_refutation`` below
 are an earlier ``solver.decide_uniform_weighting`` and
-``solver._refutation``, kept verbatim apart from their names.  They read
-every factor as an m-tuple of 0/1 entries: the oracle built one tuple per
-factor with ``incidence_vectors`` (847 for K7, 5,041 for K8) and summed
-each for the all-ones shortcut.  The current decision takes the factors'
-edge masks as ``enumerate_star_factors`` returns them.  It compares bit
-counts for the shortcut, reads a row x_i - x_1 of D off two masks only
-when the row basis asks for it, and reads the certificate's system off
-the masks' bits.  The same rows reach the same ``_reduce_rows`` in the
-same order, so every outcome must be the same to the byte: ``repr`` is
-compared on every connected isomorphism class with n <= 7 and on random
+``solver._refutation``, kept verbatim apart from their names and their
+row basis.  They read every factor as an m-tuple of 0/1 entries: the
+oracle built one tuple per factor with ``incidence_vectors`` (847 for K7,
+5,041 for K8) and summed each for the all-ones shortcut.  Their row basis
+is ``conftest.reference_reduce_rows``, which eliminates every row of D
+over every column.  The current decision takes the factors' edge masks
+as ``enumerate_star_factors`` returns them.  It compares bit counts for
+the shortcut, tests each row x_i - x_1 of D against the row basis by one
+packed sum read off its mask, only when the row basis asks for it, and
+reads the certificate's system off the masks' bits.  Both bases are the
+unique one of D's row space, entered by the same rows in the same order,
+so every outcome must be the same to the byte: ``repr`` is compared on
+every connected isomorphism class with n <= 7, on K8 and K9 and on random
 graphs with n <= 10.  Two more tests check that the oracle builds no
 incidence vector, and that K7's and K8's decisions form the D rows up to
 full rank and no more.
@@ -47,12 +50,11 @@ from starfactor.solver import (
     Verdict,
     Weighting,
     Witness,
-    _reduce_rows,
     decide_uniform_weighting,
     omega_oracle,
 )
 
-from conftest import cycle, double_star_graph, path, petersen
+from conftest import cycle, double_star_graph, path, petersen, reference_reduce_rows
 from test_enumerator_equivalence import any_graphs
 
 
@@ -136,9 +138,9 @@ def reference_decide_uniform_weighting(vectors: Sequence[IncidenceVector]) -> Fe
     edge_count = sum(vectors[0])
     if all(sum(v) == edge_count for v in vectors):
         return Witness(weighting=Weighting.constant(m), common_weight=Fraction(edge_count))
-    # D's rows x_i - x_1 (i >= 2) are formed only as the row basis reads them.
+    # D's rows x_i - x_1 (i >= 2)
     first = vectors[0]
-    rows, pivots, used = _reduce_rows([a - b for a, b in zip(v, first)] for v in vectors[1:])
+    rows, pivots, used = reference_reduce_rows([[a - b for a, b in zip(v, first)] for v in vectors[1:]])
 
     # A one-signed basis row is already a certificate; its pivot entry is
     # positive, so it is nonnegative.
@@ -224,6 +226,12 @@ def test_every_connected_class_up_to_seven_vertices():
     assert len(graphs) == 995  # OEIS A001349, n = 2..7
     mismatches = [g.edges for g in graphs if not same_outcome(enumerate_star_factors(g), g.m)]
     assert mismatches == []
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_complete_graph(n):
+    g = complete(n)
+    assert same_outcome(enumerate_star_factors(g), g.m)
 
 
 @settings(max_examples=150, deadline=None)

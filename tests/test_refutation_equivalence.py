@@ -2,9 +2,10 @@
 reduction it replaced.
 
 ``reference_refutation`` below is an earlier ``solver._refutation``, kept
-verbatim apart from its name.  It summed ``forced_zero`` in Fractions and
-solved the r x r coefficient system with the general row reduction
-``_reduce_rows``.  The current ``_refutation`` reads the factors' edge
+verbatim apart from its name and its row reduction.  It summed
+``forced_zero`` in Fractions and solved the r x r coefficient system with
+the general row reduction on integer rows, ``reference_reduce_rows`` in
+``conftest``.  The current ``_refutation`` reads the factors' edge
 masks where the reference reads their incidence vectors, sums over one
 common denominator and solves the system by fraction-free elimination
 with no row exchange.  The coefficients are unique, so wherever y is integral
@@ -34,8 +35,9 @@ from hypothesis import strategies as st
 from starfactor import solver
 from starfactor.census import generate_connected
 from starfactor.factors import CapExceeded, IncidenceVector, VacuousGraph, enumerate_star_factors, incidence_vectors
-from starfactor.solver import ZERO, Refutation, _reduce_rows, _refutation
+from starfactor.solver import ZERO, Refutation, _refutation
 
+from conftest import reference_reduce_rows
 from test_enumerator_equivalence import any_graphs
 
 
@@ -67,7 +69,7 @@ def reference_refutation(
         for y, p in zip(ys, pivots)
     ]
     coeffs = [ZERO] * (len(vectors) - 1)
-    for row, t in zip(*_reduce_rows(system)[:2]):
+    for row, t in zip(*reference_reduce_rows(system)[:2]):
         coeffs[used[t]] = Fraction(row[-1], row[t])
     return Refutation(coeffs=tuple(coeffs), forced_zero=tuple(forced))
 
@@ -145,7 +147,7 @@ def test_random_basis_and_rational_y(g, data):
     except (VacuousGraph, CapExceeded):
         assume(False)
     vectors = incidence_vectors(masks, g.m)
-    rows, pivots, used = _reduce_rows([a - b for a, b in zip(v, vectors[0])] for v in vectors[1:])
+    rows, pivots, used = reference_reduce_rows([[a - b for a, b in zip(v, vectors[0])] for v in vectors[1:]])
     assume(rows)
     y = st.fractions(min_value=-3, max_value=3, max_denominator=6)
     ys = data.draw(st.lists(y, min_size=len(rows), max_size=len(rows)))

@@ -1,135 +1,160 @@
-"""The row basis against the full-width elimination it replaced.
+"""The packed row basis on edge masks against the full-width elimination.
 
-``reference_reduce_rows`` below is an earlier ``solver._reduce_rows``,
-kept verbatim apart from its name.  It eliminates every incoming row
-against every basis row over all columns, and it reduces every row of D
-even after the basis has reached full rank.  ``_reduce_rows`` computes
-one combination on the non-pivot columns only and stops at full rank;
-once the basis has as many rows as D has columns every later row
-reduces to zero, so on every matrix both must return the same
-``(rows, pivots, used)``.  The generated matrices are up to 21 columns
-wide (K7 has 21 edges) with entries up to 5 in absolute value.  They
-include full-rank ones, whose rank is reached before the last row, ones
-made of many repeated and scaled copies of a few rows, and ones whose
-basis has pivot entries above 1, so that incoming rows are rescaled by
-the lcm of the pivot entries.  The scan reads its rows one at a time:
-two more tests check that it requests no row after the one that
-completes the rank.
+``reference_reduce_rows`` (in ``conftest``) is an earlier
+``solver._reduce_rows``.  It takes D's rows as explicit integer lists,
+eliminates every incoming row against every basis row over all columns,
+and reduces every row of D even after the basis has reached full rank.
+``_reduce_rows`` reads each row x - x_1 off a factor's edge mask, tests
+it against the basis with one packed integer sum, and stops at full
+rank; once the basis has as many rows as D has columns every later row
+reduces to zero, so on every mask list both must return the same
+``(rows, pivots, used)``.  The generated lists include random ones, ones
+whose D has full rank before its last row, ones whose rows lie in a
+space of dimension at most 4, and ones whose basis has pivot entries
+above 1, so that incoming rows are rescaled by the lcm of the pivot
+entries.  Wider lists, up to 30 columns and 80 masks, and a list whose
+basis holds the Fibonacci numbers up to 317,811 grow basis entries far
+above the packed fields' first width, so that the fields widen.  The
+basis is compared on every connected isomorphism class with n <= 7 and
+on K8 and K9.  The scan reads its rows one at a time: two more tests
+check that it requests no row after the one that completes the rank.
 """
 
 from __future__ import annotations
 
+import random
+from itertools import combinations
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
-from starfactor import simplex, solver
-from starfactor.factors import enumerate_star_factors, incidence_vectors
+from starfactor import solver
+from starfactor.census import _connected_classes
+from starfactor.factors import enumerate_star_factors, incidence_vectors, mask_bits
 from starfactor.graph import Graph
 from starfactor.solver import _reduce_rows
 
+from conftest import reference_reduce_rows
 
-def reference_reduce_rows(d_rows: list[list[int]]) -> tuple[list[list[int]], list[int], list[int]]:
-    """Fraction-free row basis of the row space of D.
-
-    Returns (rows, pivots, used): each row is a primitive integer row,
-    positive at its own pivot column and zero at the other rows' pivot
-    columns, and used[j] is the index of the D row that entered the basis
-    as row j.  Dividing each row by its pivot entry gives the unique
-    reduced basis of the row space with identity on the pivot columns.
-    """
-    rows: list[list[int]] = []
-    pivots: list[int] = []
-    used: list[int] = []
-    for i, raw in enumerate(d_rows):
-        row = list(raw)
-        for brow, p in zip(rows, pivots):
-            if row[p]:
-                row = simplex.eliminate(row, brow, p)
-        pivot = next((k for k, x in enumerate(row) if x), None)
-        if pivot is None:
-            continue
-        row = simplex.primitive(row, pivot)
-        # clear the new pivot column from the existing basis rows
-        for j, brow in enumerate(rows):
-            if brow[pivot]:
-                rows[j] = simplex.eliminate(brow, row, pivot)
-        rows.append(row)
-        pivots.append(pivot)
-        used.append(i)
-    return rows, pivots, used
+# x_1 = 0 and D's rows 1100, 1010, 0111 (bit e is column e): the reduced
+# basis is 1 0 0 -1/2, 0 1 0 1/2, 0 0 1 1/2, so the primitive basis rows
+# have pivot entries 2
+FRACTIONAL = [0b0000, 0b0011, 0b0101, 0b1110]
 
 
-KINDS = ["random", "full_rank", "repeated", "fractional"]
+def reduce_masks(masks: list[int], m: int) -> tuple[list[list[int]], list[int], list[int]]:
+    return _reduce_rows(mask_bits(masks[0], m), masks[1:])
+
+
+def reference(masks: list[int], m: int) -> tuple[list[list[int]], list[int], list[int]]:
+    """The reference basis of D's rows x_i - x_1, with x_i the bits of
+    masks[i - 1] read by shifts."""
+    vectors = [[mask >> e & 1 for e in range(m)] for mask in masks]
+    return reference_reduce_rows([[a - b for a, b in zip(v, vectors[0])] for v in vectors[1:]])
+
+
+KINDS = ["random", "full_rank", "blocks", "fractional"]
 
 
 @st.composite
-def matrices(draw, kinds=KINDS) -> list[list[int]]:
+def mask_lists(draw, kinds=KINDS) -> tuple[list[int], int]:
     kind = draw(st.sampled_from(kinds))
-    width = draw(st.integers(min_value=2 if kind == "fractional" else 0, max_value=21))
-    row = st.lists(st.integers(min_value=-5, max_value=5), min_size=width, max_size=width)
+    m = draw(st.integers(min_value=4 if kind == "fractional" else 0, max_value=21))
+    mask = st.integers(min_value=0, max_value=(1 << m) - 1)
     if kind == "random":
-        return draw(st.lists(row, max_size=20))
+        return draw(st.lists(mask, min_size=1, max_size=20)), m
     if kind == "fractional":
-        # rows d_j e_{c_j} + e_last: their reduced basis has 1/d_j in the
-        # last column, so the primitive basis rows have pivot entries d_j
-        columns = draw(st.lists(st.integers(min_value=0, max_value=width - 2), min_size=1, unique=True))
-        base = [
-            [draw(st.integers(min_value=2, max_value=5)) * (k == c) + (k == width - 1) for k in range(width)]
-            for c in columns
-        ]
-    else:
-        base = draw(st.lists(row, min_size=1, max_size=4))
+        return FRACTIONAL + draw(st.lists(mask, max_size=20)), m
     if kind == "full_rank":
-        # scaled unit rows guarantee rank = width; more rows follow them
-        base += [[draw(st.sampled_from([-2, -1, 1, 3])) * (k == j) for k in range(width)] for j in range(width)]
-    copies = []
-    for _ in range(draw(st.integers(min_value=0, max_value=25))):
-        a, b = draw(st.sampled_from(base)), draw(st.sampled_from(base))
-        s, t = draw(st.integers(min_value=-2, max_value=2)), draw(st.integers(min_value=-1, max_value=1))
-        copies.append([s * x + t * y for x, y in zip(a, b)])
-    return draw(st.permutations(base + copies))
+        # x_1 with one bit flipped gives a row +-e_k, so D has rank m
+        first = draw(mask)
+        flips = [first ^ 1 << k for k in range(m)]
+        return [first, *draw(st.permutations(flips + draw(st.lists(mask, max_size=20))))], m
+    # unions of at most 4 blocks of columns: D has rank at most 4, and most
+    # rows lie in the span of the rows before them without repeating one
+    block_of = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=m, max_size=m))
+    blocks = [sum(1 << k for k, b in enumerate(block_of) if b == block) for block in range(4)]
+    union = st.sets(st.sampled_from(blocks)).map(sum)
+    return draw(st.lists(union, min_size=1, max_size=25)), m
 
 
-@given(matrices())
+@given(mask_lists())
 @settings(max_examples=500, deadline=None)
-def test_same_basis_as_reference(d_rows):
-    assert _reduce_rows(d_rows) == reference_reduce_rows(d_rows)
+def test_same_basis_as_reference(masks_and_m):
+    masks, m = masks_and_m
+    assert reduce_masks(masks, m) == reference(masks, m)
 
 
-@given(matrices(kinds=["fractional"]))
-@settings(max_examples=100, deadline=None)
-def test_fractional_kind_has_pivot_entries_above_one(d_rows):
-    rows, pivots, _ = _reduce_rows(d_rows)
-    assert max(row[p] for row, p in zip(rows, pivots)) > 1
+@st.composite
+def wide_mask_lists(draw) -> tuple[list[int], int]:
+    # random masks of one density: fewer masks than columns leave a basis
+    # of large minors, and more reach full rank through such bases
+    m = draw(st.integers(min_value=1, max_value=30))
+    size = draw(st.integers(min_value=2, max_value=80))
+    density = draw(st.sampled_from([0.2, 0.35, 0.5, 0.65]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    return [sum(1 << k for k in range(m) if rng.random() < density) for _ in range(size)], m
+
+
+@given(wide_mask_lists())
+@settings(max_examples=300, deadline=None)
+def test_same_basis_as_reference_where_entries_grow(masks_and_m):
+    masks, m = masks_and_m
+    rows, pivots, used = reduce_masks(masks, m)
+    assert (rows, pivots, used) == reference(masks, m)
+    # steer the search to bases with large entries, whose fields widen
+    target(max((abs(x) for row in rows for x in row), default=0).bit_length(), label="entry bits")
+
+
+def test_fractional_kind_has_pivot_entries_above_one():
+    expected = ([[2, 0, 0, -1], [0, 2, 0, 1], [0, 0, 2, 1]], [0, 1, 2], [0, 1, 2])
+    assert reduce_masks(FRACTIONAL, 4) == expected == reference(FRACTIONAL, 4)
 
 
 def test_rows_rescaled_by_the_pivot_lcm():
-    # the basis [2, 0, 1], [0, 3, 1] has pivot entries 2 and 3: each later
-    # row is multiplied by 6 before the basis rows are subtracted, and all
-    # three reduce to zero
-    d_rows = [[2, 0, 1], [0, 3, 1], [2, 3, 2], [4, -3, 1], [6, 6, 5]]
-    expected = ([[2, 0, 1], [0, 3, 1]], [0, 1], [0, 1])
-    assert _reduce_rows(d_rows) == expected == reference_reduce_rows(d_rows)
-    # [1, 1, 1] reduces to 6 [1, 1, 1] - 3 [2, 0, 1] - 2 [0, 3, 1] = [0, 0, 1]
-    d_rows.append([1, 1, 1])
-    assert _reduce_rows(d_rows) == ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 1, 2], [0, 1, 5])
-    assert _reduce_rows(d_rows) == reference_reduce_rows(d_rows)
+    # x_1 = 01000 and D's rows 01101, 0011-, 1011-, 1101- give a basis with
+    # pivot entries 2, 2, 1 and 2: each later row is doubled before the
+    # basis rows are subtracted.  The fifth row, 11101, is half the first
+    # two basis rows plus the third, and it reduces to zero only doubled.
+    masks = [0b01000, 0b11110, 0b00100, 0b00101, 0b00011, 0b11111]
+    expected = ([[0, 2, 0, 0, 1], [0, 0, 2, 0, 1], [1, 0, 0, 0, 0], [0, 0, 0, 2, 1]], [1, 2, 0, 3], [0, 1, 2, 3])
+    assert reduce_masks(masks, 5) == expected == reference(masks, 5)
+    # the row 00001 completes the rank
+    masks.append(0b11000)
+    identity = [[int(k == p) for k in range(5)] for p in [1, 2, 0, 3, 4]]
+    assert reduce_masks(masks, 5) == (identity, [1, 2, 0, 3, 4], [0, 1, 2, 3, 5])
+    assert reduce_masks(masks, 5) == reference(masks, 5)
+
+
+def test_fields_widen_as_fibonacci_entries_grow():
+    # x_1 = 0, and row k of D has ones at columns k, k - 1, k - 3, k - 5, ...
+    # (and row 0 also at the last column, 29): the basis row with pivot k is
+    # e_k + (-1)^k F(k + 2) e_29, with F the Fibonacci numbers, so the
+    # packed fields must widen as the basis grows
+    m = 30
+    masks = [0]
+    for k in range(m - 1):
+        columns = {k, *range(k - 1, -1, -2)} | ({m - 1} if k == 0 else set())
+        masks.append(sum(1 << c for c in columns))
+    rows, pivots, used = reduce_masks(masks, m)
+    assert (rows, pivots, used) == reference(masks, m)
+    assert [row[-1] for row in rows[-2:]] == [-196418, 317811]
 
 
 def test_stops_at_full_rank():
-    # the third row would change nothing: rows 0 and 1 already span Z^2
-    d_rows = [[1, 0], [1, 1], [5, 7]]
-    assert _reduce_rows(d_rows) == ([[1, 0], [0, 1]], [0, 1], [0, 1]) == reference_reduce_rows(d_rows)
+    # the third row, 01, would change nothing: rows 10 and 11 already span Z^2
+    masks = [0b00, 0b01, 0b11, 0b10]
+    assert reduce_masks(masks, 2) == ([[1, 0], [0, 1]], [0, 1], [0, 1]) == reference(masks, 2)
 
 
 def test_scan_never_requests_a_row_after_full_rank():
-    def d_rows():
-        yield [1, 0]
-        yield [1, 1]
+    def masks():
+        yield 0b01
+        yield 0b11
         pytest.fail("a row after the full-rank row was requested")
 
-    assert _reduce_rows(d_rows()) == ([[1, 0], [0, 1]], [0, 1], [0, 1])
+    assert _reduce_rows(mask_bits(0b00, 2), masks()) == ([[1, 0], [0, 1]], [0, 1], [0, 1])
 
 
 def test_k7_decision_reads_only_the_rows_up_to_full_rank(monkeypatch):
@@ -137,20 +162,35 @@ def test_k7_decision_reads_only_the_rows_up_to_full_rank(monkeypatch):
     # full rank of 21 at the 187th; the decision forms no row after that
     reads = []
 
-    def counting_reduce_rows(d_rows):
+    def counting_reduce_rows(first, masks):
         reads.append(0)
 
         def counted():
-            for row in d_rows:
+            for mask in masks:
                 reads[-1] += 1
-                yield row
+                yield mask
 
-        return _reduce_rows(counted())
+        return _reduce_rows(first, counted())
 
     monkeypatch.setattr(solver, "_reduce_rows", counting_reduce_rows)
-    k7 = Graph.from_edges(7, [(u, v) for u in range(7) for v in range(u + 1, 7)])
+    k7 = Graph.from_edges(7, combinations(range(7), 2))
     masks = enumerate_star_factors(k7)
     outcome = solver.decide_uniform_weighting(masks, k7.m)
     assert len(masks) - 1 == 846
     assert reads[0] == 187
     assert solver.verify_outcome(incidence_vectors(masks, k7.m), outcome)
+
+
+def test_every_connected_class_up_to_seven_vertices():
+    classes = _connected_classes(7, None)
+    cases = [(enumerate_star_factors(g), g.m) for n in range(2, 8) for g, _ in classes[n]]
+    cases = [(masks, m) for masks, m in cases if len(masks) > 1]
+    assert len(cases) == 978
+    assert [masks for masks, m in cases if reduce_masks(masks, m) != reference(masks, m)] == []
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_complete_graph(n):
+    g = Graph.from_edges(n, combinations(range(n), 2))
+    masks = enumerate_star_factors(g)
+    assert reduce_masks(masks, g.m) == reference(masks, g.m)
