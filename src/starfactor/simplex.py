@@ -13,12 +13,25 @@ leaving variable) guarantees termination on the small, highly degenerate
 systems produced by the star-weighting feasibility problems.  Every
 choice depends only on signs and on cross-multiplied ratios, so it is
 the choice the same tableau kept in rationals would make.
+
+Two shortcuts do no work that a choice reads.  A row given as ints
+alone has denominator 1 and skips the lcm of its denominators; its ints
+are the ones the lcm would give.  Phase 1 keeps one artificial column per
+row, and an artificial that left the basis may enter it again.  Once
+phase 1 ends the artificial columns are barred: the drive-out picks real
+columns, phase 2 prices only real columns and x is read off them.  So
+every row is cut to its real entries and rhs before the drive-out.  A
+row whose basic variable is still an artificial loses the entry that was
+its denominator, but its rhs is 0 and the drive-out reads only which of
+its real entries is first nonzero.  The cut may change a row's gcd and
+so its integer scale, which no sign or ratio depends on.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 from typing import Sequence
 
 
@@ -28,12 +41,14 @@ class SimplexError(Exception):
 
 def _integer_row(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
     """(ints, d) with values[j] == ints[j] / d and d > 0 the least such."""
+    if {*map(type, values)} == {int}:
+        return list(values), 1
     d = math.lcm(*(x.denominator for x in values))
     return [x.numerator * (d // x.denominator) for x in values], d
 
 
 def _nonzero(row: list[int]) -> list[int]:
-    return [j for j, y in enumerate(row) if y]
+    return list(compress(range(len(row)), row))
 
 
 def eliminate(
@@ -78,21 +93,16 @@ def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int) -> li
     return nonzero
 
 
-def _iterate(
-    tableau: list[list[int]],
-    basis: list[int],
-    obj: list[int],
-    allowed: Sequence[bool],
-) -> list[int]:
+def _iterate(tableau: list[list[int]], basis: list[int], obj: list[int]) -> list[int]:
     """Run simplex iterations on (tableau, basis) for the objective row.
 
     ``obj`` is the reduced-cost row including the rhs entry in the last
-    position; ``allowed[j]`` gates which columns may enter the basis.
-    Returns the final objective row.
+    position; every one of its columns may enter the basis.  Returns the
+    final objective row.
     """
     ncols = len(obj) - 1
     while True:
-        enter = next((j for j in range(ncols) if allowed[j] and obj[j] > 0), -1)
+        enter = next((j for j in range(ncols) if obj[j] > 0), -1)
         if enter < 0:
             return obj
         # A row's ratio rhs/entry does not depend on its denominator, so
@@ -127,7 +137,10 @@ def solve(
     nvars = len(c)
     nrows = len(rows)
     # Standard form with one artificial variable per row; rhs made nonnegative.
+    # ``reals`` keeps each row's real entries and rhs for the phase-1 costs.
     tableau: list[list[int]] = []
+    reals: list[list[int]] = []
+    dens: list[int] = []
     for i in range(nrows):
         if len(rows[i]) != nvars:
             raise ValueError("row length mismatch")
@@ -137,20 +150,20 @@ def solve(
         art = [0] * nrows
         art[i] = d
         tableau.append(ints[:-1] + art + ints[-1:])
+        reals.append(ints)
+        dens.append(d)
     basis = [nvars + i for i in range(nrows)]
-    ncols = nvars + nrows
 
     # Phase 1: maximize -(sum of artificials), priced out over the lcm of
     # the row denominators; the artificial columns price out to zero.
-    dens = [tableau[i][nvars + i] for i in range(nrows)]
     lcm = math.lcm(*dens)
-    scaled = [tr if d == lcm else [x * (lcm // d) for x in tr] for tr, d in zip(tableau, dens)]
-    obj1 = [sum(col) for col in zip(*scaled)] if nrows else [0] * (ncols + 1)
-    obj1[nvars:ncols] = [0] * nrows
-    allowed = [True] * ncols
-    obj1 = _iterate(tableau, basis, obj1, allowed)
+    reals = [tr if d == lcm else [x * (lcm // d) for x in tr] for tr, d in zip(reals, dens)]
+    obj1 = [sum(col) for col in zip(*reals)] if nrows else [0] * (nvars + 1)
+    obj1 = _iterate(tableau, basis, obj1[:-1] + [0] * nrows + obj1[-1:])
     if obj1[-1] != 0:
         raise SimplexError("infeasible program")
+    # The artificial columns are barred from here on and never read again.
+    tableau = [tr[:nvars] + tr[-1:] for tr in tableau]
     # Drive leftover artificials out of the (degenerate) basis.
     for r in range(nrows - 1, -1, -1):
         if basis[r] >= nvars:
@@ -161,16 +174,14 @@ def solve(
             else:
                 _pivot(tableau, basis, r, col)
 
-    # Phase 2: original objective, artificial columns barred.
-    obj2 = _integer_row([*c, *[0] * (nrows + 1)])[0]
+    # Phase 2: original objective over the real columns.
+    obj2 = _integer_row([*c, 0])[0]
     for r, bi in enumerate(basis):
         if obj2[bi]:
             obj2 = eliminate(obj2, tableau[r], bi, _nonzero(tableau[r]))
-    allowed = [j < nvars for j in range(ncols)]
-    _iterate(tableau, basis, obj2, allowed)
+    _iterate(tableau, basis, obj2)
 
     x = [Fraction(0)] * nvars
     for r, bi in enumerate(basis):
-        if bi < nvars:
-            x[bi] = Fraction(tableau[r][-1], tableau[r][bi])
-    return sum((c[j] * x[j] for j in basis if j < nvars and c[j]), Fraction(0)), x
+        x[bi] = Fraction(tableau[r][-1], tableau[r][bi])
+    return sum((c[j] * x[j] for j in basis if c[j]), Fraction(0)), x
