@@ -10,8 +10,13 @@ both the structural classifier and the brute-force oracle run and any
 verdict mismatch is logged, once per labeled copy; graphs of smaller
 girth are decided by the oracle alone and only counted.
 
-``generate_connected`` and ``generate_connected_girth5`` still list the
-labeled graphs themselves, in edge-mask order.
+``generate_connected`` and ``generate_connected_girth5`` list the
+labeled graphs themselves by expanding the same classes into every
+labeled copy, ordered by ``_enumeration_key`` (as a disagreeing class's
+copies are): the connected graphs by increasing edge mask (bit i for the
+i-th pair (u, v), u < v, in lexicographic order), the girth >= 5 graphs
+by increasing mask read with its bits reversed, so that edge slot 0
+varies slowest.
 """
 
 from __future__ import annotations
@@ -65,88 +70,31 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
-def _mask_connected(n: int, pairs: tuple[tuple[int, int], ...], mask: int) -> bool:
-    if n <= 1:
-        return True
-    reach = [0] * n
-    for i, (u, v) in enumerate(pairs):
-        if mask >> i & 1:
-            reach[u] |= 1 << v
-            reach[v] |= 1 << u
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in range(n):
-            if frontier >> v & 1:
-                nxt |= reach[v]
-        frontier = nxt & ~seen
-        seen |= nxt
-    return seen == (1 << n) - 1
-
-
 def _graph_from_mask(n: int, mask: int) -> Graph:
     return Graph(n, tuple(p for i, p in enumerate(_pairs(n)) if mask >> i & 1))
 
 
-def _connected_masks(n: int) -> Iterator[int]:
-    """Edge masks of all connected labeled graphs on n vertices, in order."""
-    pairs = _pairs(n)
-    return (mask for mask in range(1 << len(pairs)) if _mask_connected(n, pairs, mask))
-
-
 def generate_connected(n: int) -> Iterator[Graph]:
-    """Every connected labeled graph on n vertices, in edge-mask order."""
+    """Every connected labeled graph on n vertices, by increasing edge mask."""
     if not (1 <= n <= MAX_BUILTIN_N):
         raise ValueError(f"built-in enumeration supports 1 <= n <= {MAX_BUILTIN_N}")
-    for mask in _connected_masks(n):
-        yield _graph_from_mask(n, mask)
-
-
-def _girth5_connected_masks(n: int) -> Iterator[int]:
-    """Edge masks of all connected labeled graphs on n vertices with no
-    cycle shorter than five, generated by pruned search over edge slots."""
-    pairs = _pairs(n)
-    adjacency = [0] * n
-
-    def close(u: int, v: int) -> bool:
-        # true iff adding uv closes a cycle of length <= 4 (dist(u, v) <= 3)
-        seen = 1 << u
-        frontier = 1 << u
-        for _ in range(3):
-            nxt = 0
-            for w in range(n):
-                if frontier >> w & 1:
-                    nxt |= adjacency[w]
-            if nxt >> v & 1:
-                return True
-            frontier = nxt & ~seen
-            seen |= nxt
-        return False
-
-    def rec(idx: int, mask: int) -> Iterator[int]:
-        if idx == len(pairs):
-            if _mask_connected(n, pairs, mask):
-                yield mask
-            return
-        u, v = pairs[idx]
-        yield from rec(idx + 1, mask)
-        if not close(u, v):
-            adjacency[u] |= 1 << v
-            adjacency[v] |= 1 << u
-            yield from rec(idx + 1, mask | (1 << idx))
-            adjacency[u] &= ~(1 << v)
-            adjacency[v] &= ~(1 << u)
-
-    yield from rec(0, 0)
+    return _labeled_graphs(n, None)
 
 
 def generate_connected_girth5(n: int) -> Iterator[Graph]:
-    """Connected labeled graphs on n vertices with girth >= 5 (or infinite)."""
+    """Connected labeled graphs on n vertices with girth >= 5 (or
+    infinite), by increasing bit-reversed edge mask."""
     if not (1 <= n <= 8):
         raise ValueError("girth-5 enumeration supports 1 <= n <= 8")
-    for mask in _girth5_connected_masks(n):
-        yield _graph_from_mask(n, mask)
+    return _labeled_graphs(n, 5)
+
+
+def _labeled_graphs(n: int, girth_min: int | None) -> Iterator[Graph]:
+    """Every labeled copy of the classes ``_connected_classes`` keeps on
+    n vertices, in the labeled enumeration's order."""
+    masks = [mask for g, _ in _connected_classes(n, girth_min)[n] for mask in _labeled_masks(g)]
+    masks.sort(key=lambda mask: _enumeration_key(n, mask, girth_min))
+    return (_graph_from_mask(n, mask) for mask in masks)
 
 
 def _girth_class(gg: Girth) -> str:
@@ -231,18 +179,19 @@ def _connected_classes(n_max: int, girth_min: int | None) -> dict[int, list[tupl
 
 
 def _labeled_masks(g: Graph) -> set[int]:
-    """Edge masks of every labeled copy of g."""
-    index = {p: i for i, p in enumerate(_pairs(g.n))}
-    return {
-        sum(1 << index[(min(p[u], p[v]), max(p[u], p[v]))] for u, v in g.edges)
-        for p in itertools.permutations(range(g.n))
-    }
+    """Edge masks of every labeled copy of g; ``bit[u][v]`` is the bit of
+    edge slot uv."""
+    bit = [[0] * g.n for _ in range(g.n)]
+    for i, (u, v) in enumerate(_pairs(g.n)):
+        bit[u][v] = bit[v][u] = 1 << i
+    return {sum([bit[p[u]][p[v]] for u, v in g.edges]) for p in itertools.permutations(range(g.n))}
 
 
 def _enumeration_key(n: int, mask: int, girth_min: int | None) -> int:
     """Sort key of the labeled enumeration's order: increasing masks, or,
-    under girth_min >= 5, the pruned search's order, which leaves edge
-    slot i out before it puts it in, so the lowest slot varies slowest."""
+    under girth_min >= 5, increasing masks with their bits reversed, the
+    order of an edge-slot search that leaves slot i out before it puts
+    it in, so that the lowest slot varies slowest."""
     if girth_min is None or girth_min < 5:
         return mask
     return int(format(mask, f"0{len(_pairs(n))}b")[::-1], 2)

@@ -1,5 +1,6 @@
 """Census enumeration, cross-validation, and report snapshots."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -62,10 +63,45 @@ class TestGenerators:
         assert counts == {1: 1, 2: 1, 3: 3, 4: 16, 5: 137, 6: 1716, 7: 29767}
 
     def test_range_checks(self):
-        with pytest.raises(ValueError):
-            list(generate_connected(8))
-        with pytest.raises(ValueError):
-            list(generate_connected_girth5(9))
+        # raised by the call itself, before anything is iterated
+        for n in (0, 8):
+            with pytest.raises(ValueError):
+                generate_connected(n)
+        for n in (0, 9):
+            with pytest.raises(ValueError):
+                generate_connected_girth5(n)
+
+    # sha256 of the newline-joined graph6 lines: the benchmark's samples
+    # draw graphs from these lists by position, so their order is pinned
+    CONNECTED_DIGESTS = {
+        1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+        2: "ada8d598e51a0bf0d4bb5976d5dc6cb088a0603072947b002d4d665c54cadb1f",
+        3: "1cd627bfb40d865b9cb9db170c9cc42ed01a165e77c8b343af8c58ea5a6aa3c9",
+        4: "324f579dbd21c6a269e6e18cc278b0b17af0e9eb92552e227ce7c05dff829fa8",
+        5: "05be4a8382f5a2d518a054093339f559e9e56272e91bcc4f8330946ac224194f",
+        6: "556ab4a90f95ca43163ad71f7cccf75159f8095e59b499b5d3dbe835ca65cee1",
+    }
+    GIRTH5_DIGESTS = {
+        1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+        2: "ada8d598e51a0bf0d4bb5976d5dc6cb088a0603072947b002d4d665c54cadb1f",
+        3: "0a0beb6d83660e952fca03b9c23a1dcfb52c5b6058b4371da05337b1c8ada411",
+        4: "a1c373ea02fa608aaa8bdb34c631bdfa307891978d88296760f932436c5aabd4",
+        5: "49dec57886f2b64edab3de436365995a1d20e7899f1c5d301b35ff0dbbf22a8b",
+        6: "0b71999215b397c3944535746e0065fb9fcbfb4f870dcf065e313b41eab9a69f",
+        7: "4355880219cc75c33d2022838df4bfc365bf19df10dd3e04491a0abd40b9726f",
+    }
+
+    @staticmethod
+    def digest(graphs):
+        return hashlib.sha256("\n".join(map(to_graph6, graphs)).encode()).hexdigest()
+
+    @pytest.mark.parametrize("n", sorted(CONNECTED_DIGESTS))
+    def test_connected_order_is_pinned(self, n):
+        assert self.digest(generate_connected(n)) == self.CONNECTED_DIGESTS[n]
+
+    @pytest.mark.parametrize("n", sorted(GIRTH5_DIGESTS))
+    def test_girth5_order_is_pinned(self, n):
+        assert self.digest(generate_connected_girth5(n)) == self.GIRTH5_DIGESTS[n]
 
 
 class TestEvaluate:

@@ -2,9 +2,11 @@
 
 ``reference_cross_validate`` is the labeled census as it was before the
 built-in work became isomorphism classes: every connected labeled graph
-is decided on its own, in (n, edge mask) order.  The class census must
-give the same report bytes.  networkx is used here only, as an
-independent check of isomorphism and automorphism counts.
+is decided on its own, in the labeled enumeration's order.  Its graphs
+come from a brute force over edge subsets, not from the census.  The
+class census must give the same report bytes.  networkx is used here
+only, as an independent check of connectivity, girth, isomorphism and
+automorphism counts.
 """
 
 from __future__ import annotations
@@ -26,12 +28,8 @@ from starfactor.census import (
     CensusRow,
     Disagreement,
     _connected_classes,
-    _connected_masks,
-    _girth5_connected_masks,
-    _graph_from_mask,
     cross_validate,
     evaluate_graph,
-    generate_connected,
     report,
 )
 from starfactor.factors import DEFAULT_CAP
@@ -47,12 +45,34 @@ CONNECTED_LABELED = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}
 
 # ------------------------------------------------- the labeled reference
 
-def _reference_worker(item: tuple[int, int] | str, cap: int, girth_min: int | None):
-    """Decide one work item: an (n, edge mask) pair or a graph6 line."""
-    if isinstance(item, str):
-        g = parse_graph6(item)
-    else:
-        g = _graph_from_mask(*item)
+@functools.cache
+def reference_labeled(n: int, girth_min: int | None) -> tuple[Graph, ...]:
+    """Every connected labeled graph on n vertices, and under
+    ``girth_min`` >= 5 only those of girth at least five, by brute force
+    over all edge subsets (bit i of a mask for the i-th pair u < v).
+
+    They come in the labeled enumeration's order: by increasing mask, or
+    under ``girth_min`` >= 5 by increasing reversed bit string, the order
+    of a search over edge slots that leaves slot i out before it puts it
+    in, so that the lowest slot varies slowest.
+    """
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    girth5 = girth_min is not None and girth_min >= 5
+    kept = []
+    for mask in range(1 << len(pairs)):
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(p for i, p in enumerate(pairs) if mask >> i & 1)
+        if nx.is_connected(h) and not (girth5 and nx.girth(h) < 5):
+            kept.append(mask)
+    if girth5:
+        kept.sort(key=lambda mask: format(mask, f"0{len(pairs)}b")[::-1])
+    return tuple(Graph(n, tuple(p for i, p in enumerate(pairs) if mask >> i & 1)) for mask in kept)
+
+
+def _reference_worker(item: Graph | str, cap: int, girth_min: int | None):
+    """Decide one work item: a labeled graph or a graph6 line."""
+    g = parse_graph6(item) if isinstance(item, str) else item
     return evaluate_graph(g, cap, girth_min)
 
 
@@ -86,14 +106,9 @@ def reference_cross_validate(
 ) -> CensusResult:
     """The labeled census, one decision per labeled graph, in one process."""
 
-    def items() -> Iterator[tuple[int, int] | str]:
+    def items() -> Iterator[Graph | str]:
         for n in ns:
-            if girth_min is not None and girth_min >= 5:
-                masks = _girth5_connected_masks(n)
-            else:
-                masks = _connected_masks(n)
-            for mask in masks:
-                yield (n, mask)
+            yield from reference_labeled(n, girth_min)
         for line in graph6_lines:
             line = line.strip()
             if line:
@@ -176,7 +191,7 @@ class TestClasses:
     def test_labeled_copies_match_the_labeled_generator(self, classes):
         for n in range(1, 6):
             seen: dict[Graph, int] = {}
-            for g in generate_connected(n):
+            for g in reference_labeled(n, None):
                 form, _ = canonical_form(g)
                 seen[form] = seen.get(form, 0) + 1
             assert seen == dict(classes[n])
