@@ -32,7 +32,7 @@ from typing import Iterable, Iterator
 
 from . import __version__
 from .classifier import classify
-from .factors import DEFAULT_CAP
+from .factors import DEFAULT_CAP, mask_bits
 from .graph import Girth, Graph, canonical_rows, girth, graph_from_rows, parse_graph6, to_graph6
 from .solver import Verdict, omega_oracle
 
@@ -65,13 +65,18 @@ class CensusResult:
     disagreements: list[Disagreement] = field(default_factory=list)
 
 
+# _REVERSED_BYTES[b] is the byte b with its eight bits in reverse order
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 @functools.cache
 def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
 def _graph_from_mask(n: int, mask: int) -> Graph:
-    return Graph(n, tuple(p for i, p in enumerate(_pairs(n)) if mask >> i & 1))
+    pairs = _pairs(n)
+    return Graph(n, tuple(itertools.compress(pairs, mask_bits(mask, len(pairs)))))
 
 
 def generate_connected(n: int) -> Iterator[Graph]:
@@ -194,7 +199,11 @@ def _enumeration_key(n: int, mask: int, girth_min: int | None) -> int:
     it in, so that the lowest slot varies slowest."""
     if girth_min is None or girth_min < 5:
         return mask
-    return int(format(mask, f"0{len(_pairs(n))}b")[::-1], 2)
+    # reversing the bytes and each byte's bits reverses all 8k bits, and
+    # the shift drops the 8k - |pairs| zeros that were above the top slot
+    size = (len(_pairs(n)) + 7) // 8
+    reversed_mask = int.from_bytes(mask.to_bytes(size, "little").translate(_REVERSED_BYTES), "big")
+    return reversed_mask >> 8 * size - len(_pairs(n))
 
 
 def _worker(item: tuple[int, Graph, int] | str, cap: int, girth_min: int | None) -> _Record | None:

@@ -32,8 +32,17 @@ order:
 
    has optimum t > 0 exactly when a positive solution exists (the
    system is homogeneous, so any positive solution scales into the box).
-4. At optimum t = 0, Stiemke's alternative guarantees a nonnegative
-   nonzero vector y.B in the row space, and LP2 finds y.
+   B is block-diagonal: two rows share a block when they are nonzero in
+   a shared column, and the blocks share no variable, so LP1 runs on
+   each block's columns alone and t is the least of their optima.  Each
+   block's weights are scaled to minimum 1, and an edge in no row of B
+   (in every factor or in none) weighs 1.  On the 14-vertex double star
+   one LP1 of 35 rows over 46 variables becomes three, of 13 x 16,
+   7 x 10 and 7 x 10.
+4. At the first block whose optimum is t = 0, Stiemke's alternative
+   guarantees a nonnegative nonzero vector y.B in that block's row
+   space, and LP2 on that block alone finds y.  With y zero on every
+   other row, y.B is a certificate for the whole of B.
 
 Only for a certificate are its coefficients on the rows of D recovered.
 They are the unique solution of one r x r integer system read off the
@@ -350,15 +359,73 @@ def decide_uniform_weighting(masks: Sequence[int], m: int) -> FeasibilityOutcome
             ys[j] = ONE
             return _refutation(masks, ys, rows, pivots, used)
 
-    # The reduced basis, each row divided by its pivot entry.
-    basis = [
-        row if row[p] == 1 else [Fraction(x, row[p]) if x else 0 for x in row]
-        for row, p in zip(rows, pivots)
-    ]
-    # LP1 variables: w_0..w_{m-1}, t, surplus s_e (w_e - t >= 0), slack u_e (w_e <= 1)
+    # B is block-diagonal: rows that share no column, even through other
+    # rows, constrain disjoint weights, so each block is its own LP1, and
+    # t* is the least of the blocks' optima.  An edge in no row of B is
+    # free and weighs 1.
+    weights = [ONE] * m
+    for block, columns in _blocks(rows, pivots):
+        # the block's rows of the reduced basis, each divided by its pivot entry
+        basis = [
+            [row[e] for e in columns]
+            if row[p] == 1
+            else [Fraction(row[e], row[p]) if row[e] else 0 for e in columns]
+            for row, p in ((rows[j], pivots[j]) for j in block)
+        ]
+        t_opt, x = _lp1(basis)
+        if t_opt == ZERO:
+            # a certificate for this block's rows is one for B, with y = 0
+            # on every other row
+            ys = [ZERO] * r
+            for j, y in zip(block, _lp2(basis)):
+                ys[j] = y
+            return _refutation(masks, ys, rows, pivots, used)
+        scale = min(x[: len(columns)])
+        for e, w in zip(columns, x):
+            weights[e] = w / scale
+    common = sum(w for w, bit in zip(weights, first) if bit)
+    return Witness(weighting=Weighting(tuple(weights)), common_weight=Fraction(common))
+
+
+def _blocks(rows: list[list[int]], pivots: list[int]) -> list[tuple[list[int], list[int]]]:
+    """The blocks of the row basis, as (row indices, columns) pairs.
+
+    Two rows share a block when they are nonzero in a shared column
+    (union-find over the rows' supports).  Each block's rows keep the
+    basis order, its columns are increasing, and the blocks come in the
+    order of their lowest pivot column.
+    """
+    parent = list(range(len(rows)))
+
+    def find(j: int) -> int:
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        return j
+
+    owner: dict[int, int] = {}  # a column's first row, the others join it
+    for j, row in enumerate(rows):
+        for e in compress(range(len(row)), row):
+            k = owner.setdefault(e, j)
+            if k != j:
+                parent[find(j)] = find(k)
+    members: dict[int, list[int]] = {}
+    for j in range(len(rows)):
+        members.setdefault(find(j), []).append(j)
+    columns: dict[int, list[int]] = {}
+    for e in sorted(owner):
+        columns.setdefault(find(owner[e]), []).append(e)
+    order = sorted(members, key=lambda root: min(pivots[j] for j in members[root]))
+    return [(members[root], columns[root]) for root in order]
+
+
+def _lp1(basis: Sequence[Sequence[Fraction | int]]) -> tuple[Fraction, list[Fraction]]:
+    """LP1 over the m columns of ``basis``: maximize t subject to
+    B w = 0, w_e >= t, w_e <= 1.  Returns (t*, x) with x[:m] the weights."""
+    m = len(basis[0])
+    # variables: w_0..w_{m-1}, t, surplus s_e (w_e - t >= 0), slack u_e (w_e <= 1)
     nvars = 3 * m + 1
     lp_rows: list[list[Fraction | int]] = [[*brow, *[0] * (2 * m + 1)] for brow in basis]
-    rhs: list[int] = [0] * r
+    rhs: list[int] = [0] * len(basis)
     for e in range(m):
         row = [0] * nvars
         row[e] = 1
@@ -374,40 +441,38 @@ def decide_uniform_weighting(masks: Sequence[int], m: int) -> FeasibilityOutcome
         rhs.append(1)
     c = [0] * nvars
     c[m] = 1
-    t_opt, x = simplex.solve(c, lp_rows, rhs)
-    if t_opt > ZERO:
-        scale = min(x[:m])
-        weighting = Weighting(tuple(w / scale for w in x[:m]))
-        common = sum(w for w, bit in zip(weighting.weights, first) if bit)
-        return Witness(weighting=weighting, common_weight=Fraction(common))
+    return simplex.solve(c, lp_rows, rhs)
 
-    # LP2: find y with y.B >= 0, y.B != 0 (exists by Stiemke's alternative).
-    # Variables: p_j, q_j (y_j = p_j - q_j), s_e = (y.B)_e, slack u_e (s_e <= 1).
-    nvars2 = 2 * r + 2 * m
-    rows2: list[list[Fraction | int]] = []
-    rhs2: list[int] = []
+
+def _lp2(basis: Sequence[Sequence[Fraction | int]]) -> list[Fraction]:
+    """LP2: y with y.B >= 0, y.B != 0, one y_j per row of ``basis`` (it
+    exists by Stiemke's alternative when LP1's optimum is 0)."""
+    r, m = len(basis), len(basis[0])
+    # variables: p_j, q_j (y_j = p_j - q_j), s_e = (y.B)_e, slack u_e (s_e <= 1)
+    nvars = 2 * r + 2 * m
+    rows: list[list[Fraction | int]] = []
+    rhs: list[int] = []
     for e in range(m):
-        row = [0] * nvars2
+        row = [0] * nvars
         for j, brow in enumerate(basis):
             row[j] = brow[e]
             row[r + j] = -brow[e]
         row[2 * r + e] = -1
-        rows2.append(row)
-        rhs2.append(0)
+        rows.append(row)
+        rhs.append(0)
     for e in range(m):
-        row = [0] * nvars2
+        row = [0] * nvars
         row[2 * r + e] = 1
         row[2 * r + m + e] = 1
-        rows2.append(row)
-        rhs2.append(1)
-    c2 = [0] * nvars2
+        rows.append(row)
+        rhs.append(1)
+    c = [0] * nvars
     for e in range(m):
-        c2[2 * r + e] = 1
-    total, x2 = simplex.solve(c2, rows2, rhs2)
+        c[2 * r + e] = 1
+    total, x = simplex.solve(c, rows, rhs)
     if total <= ZERO:
         raise AssertionError("Stiemke alternative violated: no certificate found")
-    ys = [x2[j] - x2[r + j] for j in range(r)]
-    return _refutation(masks, ys, rows, pivots, used)
+    return [x[j] - x[r + j] for j in range(r)]
 
 
 def verify_outcome(vectors: Sequence[IncidenceVector], outcome: FeasibilityOutcome) -> bool:

@@ -7,12 +7,17 @@ girth re-check uses the edge-removal distance trick.  Frozen expected
 values in the tests were computed with these.  ``reference_reduce_rows``
 is the row basis on explicit integer rows that the library's packed scan
 over edge masks replaced; the references that reduce rows use it.
+``reference_lp1`` and ``reference_lp2`` build the oracle's two linear
+programs over a list of reduced basis rows, and ``reference_block_lps``
+runs them one block of the basis at a time, with the blocks found by a
+breadth-first search instead of the library's union-find.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -257,6 +262,121 @@ def reference_reduce_rows(d_rows: list[list[int]]) -> tuple[list[list[int]], lis
         pivots.append(pivot)
         used.append(i)
     return rows, pivots, used
+
+
+# ------------------------------------------------------------ LP stage
+
+def reduced_rows(rows: list[list[int]], pivots: list[int], columns: list[int]) -> list[list]:
+    """Rows of the reduced basis read on ``columns``: each row divided by
+    its pivot entry, ints where that entry is 1, Fractions and int zeros
+    otherwise."""
+    return [
+        [row[e] for e in columns]
+        if row[p] == 1
+        else [Fraction(row[e], row[p]) if row[e] else 0 for e in columns]
+        for row, p in zip(rows, pivots)
+    ]
+
+
+def reference_lp1(basis: list[list]) -> tuple[Fraction, list[Fraction]]:
+    """LP1 over the basis rows' m columns: maximize t subject to B w = 0,
+    w_e >= t, w_e <= 1.  Returns (t*, x) with x[:m] the weights."""
+    m = len(basis[0])
+    # variables: w_0..w_{m-1}, t, surplus s_e (w_e - t >= 0), slack u_e (w_e <= 1)
+    nvars = 3 * m + 1
+    lp_rows = [[*brow, *[0] * (2 * m + 1)] for brow in basis]
+    rhs = [0] * len(basis)
+    for e in range(m):
+        row = [0] * nvars
+        row[e] = 1
+        row[m] = -1
+        row[m + 1 + e] = -1
+        lp_rows.append(row)
+        rhs.append(0)
+    for e in range(m):
+        row = [0] * nvars
+        row[e] = 1
+        row[2 * m + 1 + e] = 1
+        lp_rows.append(row)
+        rhs.append(1)
+    c = [0] * nvars
+    c[m] = 1
+    return simplex.solve(c, lp_rows, rhs)
+
+
+def reference_lp2(basis: list[list]) -> list[Fraction]:
+    """LP2 over the basis rows: y with y.B >= 0, y.B != 0, one y_j per row."""
+    r, m = len(basis), len(basis[0])
+    # variables: p_j, q_j (y_j = p_j - q_j), s_e = (y.B)_e, slack u_e (s_e <= 1)
+    nvars = 2 * r + 2 * m
+    rows, rhs = [], []
+    for e in range(m):
+        row = [0] * nvars
+        for j, brow in enumerate(basis):
+            row[j] = brow[e]
+            row[r + j] = -brow[e]
+        row[2 * r + e] = -1
+        rows.append(row)
+        rhs.append(0)
+    for e in range(m):
+        row = [0] * nvars
+        row[2 * r + e] = 1
+        row[2 * r + m + e] = 1
+        rows.append(row)
+        rhs.append(1)
+    c = [0] * nvars
+    for e in range(m):
+        c[2 * r + e] = 1
+    total, x = simplex.solve(c, rows, rhs)
+    assert total > 0, "Stiemke alternative violated: no certificate found"
+    return [x[j] - x[r + j] for j in range(r)]
+
+
+def reference_blocks(rows: list[list[int]], pivots: list[int]) -> list[tuple[list[int], list[int]]]:
+    """The blocks of a row basis as (row indices, columns): the components
+    of the graph on the rows that joins two rows nonzero in a shared
+    column, by breadth-first search.  Rows in basis order, columns
+    increasing, blocks by their lowest pivot."""
+    supports = [{e for e, x in enumerate(row) if x} for row in rows]
+    seen: set[int] = set()
+    blocks = []
+    for start in range(len(rows)):
+        if start in seen:
+            continue
+        seen.add(start)
+        component, queue = [start], deque([start])
+        while queue:
+            j = queue.popleft()
+            for k in range(len(rows)):
+                if k not in seen and supports[j] & supports[k]:
+                    seen.add(k)
+                    component.append(k)
+                    queue.append(k)
+        component.sort()
+        blocks.append((component, sorted(set().union(*(supports[j] for j in component)))))
+    return sorted(blocks, key=lambda block: min(pivots[j] for j in block[0]))
+
+
+def reference_block_lps(
+    rows: list[list[int]], pivots: list[int], m: int
+) -> tuple[list[Fraction] | None, list[Fraction] | None]:
+    """LP1, and LP2 where LP1's optimum is 0, one block of the basis at a
+    time.  Returns (weights, None), each block's weights scaled to minimum
+    1 and weight 1 on an edge in no row, or (None, y) with y from LP2 on
+    the first block whose LP1 optimum is 0 and zero on every other row."""
+    weights = [Fraction(1)] * m
+    for block, columns in reference_blocks(rows, pivots):
+        basis = reduced_rows([rows[j] for j in block], [pivots[j] for j in block], columns)
+        t_opt, x = reference_lp1(basis)
+        if t_opt == 0:
+            ys = [Fraction(0)] * len(rows)
+            for j, y in zip(block, reference_lp2(basis)):
+                ys[j] = y
+            return None, ys
+        scale = min(x[: len(columns)])
+        for e, w in zip(columns, x):
+            weights[e] = w / scale
+    return weights, None
 
 
 # --------------------------------------------------------------- the CLI

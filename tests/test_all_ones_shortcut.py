@@ -4,9 +4,10 @@ When every star-factor has the same edge count, ``decide_uniform_weighting``
 returns the all-ones witness before it forms any row of D.
 ``reference_lp1_witness`` below is the path every member took before: the
 row basis of D (its rows x_i - x_1 built inline), then LP1
-(maximize t subject to B w = 0, w_e >= t, w_e <= 1) and its optimum
-scaled to minimum weight one.  With equal edge counts, t = 1, w = 1 is
-LP1's unique optimum, so on every such graph both must return the same
+(maximize t subject to B w = 0, w_e >= t, w_e <= 1) on each block of
+the basis, each block's optimum scaled to minimum weight one.  With equal
+edge counts every row of the basis sums to zero, so t = 1, w = 1 is each
+block's unique optimum, and on every such graph both must return the same
 witness, byte for byte.
 """
 
@@ -17,7 +18,6 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from starfactor import simplex
 from starfactor.factors import (
     VacuousGraph,
     edge_count_spectrum,
@@ -32,45 +32,19 @@ from starfactor.solver import (
     verify_outcome,
 )
 
-from conftest import double_star_graph, reference_reduce_rows
+from conftest import double_star_graph, reference_block_lps, reference_reduce_rows
 
 
 def reference_lp1_witness(vectors) -> Witness:
-    """LP1's witness on the reduced row basis of D; asserts that LP1 has
-    a positive optimum, so call it on members only."""
-    m = len(vectors[0])
+    """LP1's witness on the reduced row basis of D, one block of the basis
+    at a time; asserts that every block's LP1 has a positive optimum, so
+    call it on members only."""
     d_rows = [[a - b for a, b in zip(v, vectors[0])] for v in vectors[1:]]
     rows, pivots, _ = reference_reduce_rows(d_rows)
-    r = len(rows)
-    basis = [
-        row if row[p] == 1 else [Fraction(x, row[p]) if x else 0 for x in row]
-        for row, p in zip(rows, pivots)
-    ]
-    # variables: w_0..w_{m-1}, t, surplus s_e (w_e - t >= 0), slack u_e (w_e <= 1)
-    nvars = 3 * m + 1
-    lp_rows = [[*brow, *[0] * (2 * m + 1)] for brow in basis]
-    rhs = [0] * r
-    for e in range(m):
-        row = [0] * nvars
-        row[e] = 1
-        row[m] = -1
-        row[m + 1 + e] = -1
-        lp_rows.append(row)
-        rhs.append(0)
-    for e in range(m):
-        row = [0] * nvars
-        row[e] = 1
-        row[2 * m + 1 + e] = 1
-        lp_rows.append(row)
-        rhs.append(1)
-    c = [0] * nvars
-    c[m] = 1
-    t_opt, x = simplex.solve(c, lp_rows, rhs)
-    assert t_opt > 0
-    scale = min(x[:m])
-    weighting = Weighting(tuple(w / scale for w in x[:m]))
-    common = sum(w for w, bit in zip(weighting.weights, vectors[0]) if bit)
-    return Witness(weighting=weighting, common_weight=Fraction(common))
+    weights, _ = reference_block_lps(rows, pivots, len(vectors[0]))
+    assert weights is not None
+    common = sum(w for w, bit in zip(weights, vectors[0]) if bit)
+    return Witness(weighting=Weighting(tuple(weights)), common_weight=Fraction(common))
 
 
 @st.composite

@@ -2,22 +2,24 @@
 
 ``reference_decide_uniform_weighting`` and ``reference_refutation`` below
 are an earlier ``solver.decide_uniform_weighting`` and
-``solver._refutation``, kept verbatim apart from their names and their
-row basis.  They read every factor as an m-tuple of 0/1 entries: the
-oracle built one tuple per factor with ``incidence_vectors`` (847 for K7,
-5,041 for K8) and summed each for the all-ones shortcut.  Their row basis
-is ``conftest.reference_reduce_rows``, which eliminates every row of D
-over every column.  The current decision takes the factors' edge masks
-as ``enumerate_star_factors`` returns them.  It compares bit counts for
-the shortcut, tests each row x_i - x_1 of D against the row basis by one
-packed sum read off its mask, only when the row basis asks for it, and
-reads the certificate's system off the masks' bits.  Both bases are the
-unique one of D's row space, entered by the same rows in the same order,
-so every outcome must be the same to the byte: ``repr`` is compared on
-every connected isomorphism class with n <= 7, on K8 and K9 and on random
-graphs with n <= 10.  Two more tests check that the oracle builds no
-incidence vector, and that K7's and K8's decisions form the D rows up to
-full rank and no more.
+``solver._refutation``, kept verbatim apart from their names, their row
+basis and their LP stage.  They read every factor as an m-tuple of 0/1
+entries: the oracle built one tuple per factor with ``incidence_vectors``
+(847 for K7, 5,041 for K8) and summed each for the all-ones shortcut.
+Their row basis is ``conftest.reference_reduce_rows``, which eliminates
+every row of D over every column, and their LP stage is
+``conftest.reference_block_lps``, LP1 and LP2 one block of the basis at a
+time, as the library runs them.  The current decision takes the factors'
+edge masks as ``enumerate_star_factors`` returns them.  It compares bit
+counts for the shortcut, tests each row x_i - x_1 of D against the row
+basis by one packed sum read off its mask, only when the row basis asks
+for it, and reads the certificate's system off the masks' bits.  Both
+bases are the unique one of D's row space, entered by the same rows in
+the same order, so every outcome must be the same to the byte: ``repr``
+is compared on every connected isomorphism class with n <= 7, on K8 and
+K9 and on random graphs with n <= 10.  Two more tests check that the
+oracle builds no incidence vector, and that K7's and K8's decisions form
+the D rows up to full rank and no more.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 import starfactor
-from starfactor import factors, simplex, solver
+from starfactor import factors, solver
 from starfactor.census import _connected_classes
 from starfactor.factors import (
     CapExceeded,
@@ -54,7 +56,14 @@ from starfactor.solver import (
     omega_oracle,
 )
 
-from conftest import cycle, double_star_graph, path, petersen, reference_reduce_rows
+from conftest import (
+    cycle,
+    double_star_graph,
+    path,
+    petersen,
+    reference_block_lps,
+    reference_reduce_rows,
+)
 from test_enumerator_equivalence import any_graphs
 
 
@@ -151,63 +160,12 @@ def reference_decide_uniform_weighting(vectors: Sequence[IncidenceVector]) -> Fe
             ys[j] = ONE
             return reference_refutation(vectors, ys, rows, pivots, used)
 
-    # The reduced basis, each row divided by its pivot entry.
-    basis = [
-        row if row[p] == 1 else [Fraction(x, row[p]) if x else 0 for x in row]
-        for row, p in zip(rows, pivots)
-    ]
-    # LP1 variables: w_0..w_{m-1}, t, surplus s_e (w_e - t >= 0), slack u_e (w_e <= 1)
-    nvars = 3 * m + 1
-    lp_rows: list[list[Fraction | int]] = [[*brow, *[0] * (2 * m + 1)] for brow in basis]
-    rhs: list[int] = [0] * r
-    for e in range(m):
-        row = [0] * nvars
-        row[e] = 1
-        row[m] = -1
-        row[m + 1 + e] = -1
-        lp_rows.append(row)
-        rhs.append(0)
-    for e in range(m):
-        row = [0] * nvars
-        row[e] = 1
-        row[2 * m + 1 + e] = 1
-        lp_rows.append(row)
-        rhs.append(1)
-    c = [0] * nvars
-    c[m] = 1
-    t_opt, x = simplex.solve(c, lp_rows, rhs)
-    if t_opt > ZERO:
-        scale = min(x[:m])
-        weighting = Weighting(tuple(w / scale for w in x[:m]))
-        common = sum(w for w, bit in zip(weighting.weights, vectors[0]) if bit)
-        return Witness(weighting=weighting, common_weight=Fraction(common))
-
-    # LP2: find y with y.B >= 0, y.B != 0 (exists by Stiemke's alternative).
-    # Variables: p_j, q_j (y_j = p_j - q_j), s_e = (y.B)_e, slack u_e (s_e <= 1).
-    nvars2 = 2 * r + 2 * m
-    rows2: list[list[Fraction | int]] = []
-    rhs2: list[int] = []
-    for e in range(m):
-        row = [0] * nvars2
-        for j, brow in enumerate(basis):
-            row[j] = brow[e]
-            row[r + j] = -brow[e]
-        row[2 * r + e] = -1
-        rows2.append(row)
-        rhs2.append(0)
-    for e in range(m):
-        row = [0] * nvars2
-        row[2 * r + e] = 1
-        row[2 * r + m + e] = 1
-        rows2.append(row)
-        rhs2.append(1)
-    c2 = [0] * nvars2
-    for e in range(m):
-        c2[2 * r + e] = 1
-    total, x2 = simplex.solve(c2, rows2, rhs2)
-    if total <= ZERO:
-        raise AssertionError("Stiemke alternative violated: no certificate found")
-    ys = [x2[j] - x2[r + j] for j in range(r)]
+    # LP1 on each block of the basis, and LP2 on the first block whose
+    # LP1 optimum is 0
+    weights, ys = reference_block_lps(rows, pivots, m)
+    if weights is not None:
+        common = sum(w for w, bit in zip(weights, vectors[0]) if bit)
+        return Witness(weighting=Weighting(tuple(weights)), common_weight=Fraction(common))
     return reference_refutation(vectors, ys, rows, pivots, used)
 
 

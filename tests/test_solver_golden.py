@@ -5,10 +5,10 @@ sha256 of ``repr(decide_uniform_weighting(...))`` on its star-factor
 edge masks, so every weight, common weight, certificate
 coefficient and forced-zero entry is pinned down to the byte.  The graphs
 are every connected graph on 2 to 5 vertices, the connected six-vertex
-graphs whose refutation needs the second LP (found by counting
-``simplex.solve`` calls), five named instances and the graphs of
-``girth5_connected_n8.g6``.  Regenerate it only for an intended output
-change, by running this file as a script from the repository root:
+graphs whose refutation needs the second LP (found by the objectives of
+the programs handed to ``simplex.solve``), five named instances and the
+graphs of ``girth5_connected_n8.g6``.  Regenerate it only for an intended
+output change, by running this file as a script from the repository root:
 
     PYTHONPATH=src:tests python tests/test_solver_golden.py
 """
@@ -50,20 +50,21 @@ def _digest(g: Graph) -> str:
 
 
 def _needs_second_lp(g: Graph) -> bool:
-    calls = 0
+    # LP1 maximizes the one variable t; LP2 maximizes the sum of a block's
+    # s_e, at least two of them, since a one-column block's row is one-signed
+    objectives = []
     solve = simplex.solve
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return solve(*args)
+    def recording(c, rows, rhs):
+        objectives.append(c)
+        return solve(c, rows, rhs)
 
-    simplex.solve = counting
+    simplex.solve = recording
     try:
         decide_uniform_weighting(enumerate_star_factors(g), g.m)
     finally:
         simplex.solve = solve
-    return calls == 2
+    return any(sum(c) > 1 for c in objectives)
 
 
 def _capture() -> dict[str, str]:
