@@ -182,7 +182,7 @@ def _structural_report(
 
     kinds = [
         _core_component_kind(g, core, outer)
-        for core in induced_components(g, verts, outer)
+        for core in induced_components(g.adjacency, verts, outer)
     ]
     if not all(_core_kind_ok(k, g) for k in kinds):
         return report(Verdict.NOT_MEMBER, CaseTag.NEG_CORE_SHAPE, kinds)
@@ -234,13 +234,13 @@ def _fallback_report(
 def classify(g: Graph, cap: int = DEFAULT_CAP) -> Classification:
     """Component-wise classification of an arbitrary graph, in one pass.
 
-    A tree component has infinite girth; one with a cycle gets its girth
-    from a BFS over its vertices.  Girth >= 5 components take the
-    structural path, others go to the brute-force oracle on a subgraph
-    of their own.  The graph is a member iff every component is, with
-    the witness concatenated over them; a non-member takes the tag of
-    its first failing component.  A component on which the oracle
-    exceeds the factor cap makes the verdict CapExceeded.
+    Each component's girth comes from ``shortest_cycle``: infinite for
+    a tree, from a BFS over its vertices otherwise.  Girth >= 5
+    components take the structural path, others go to the brute-force
+    oracle on a subgraph of their own.  The graph is a member iff every
+    component is, with the witness concatenated over them; a non-member
+    takes the tag of its first failing component.  A component on which
+    the oracle exceeds the factor cap makes the verdict CapExceeded.
     """
     if g.has_isolated_vertex():
         return Classification(Verdict.VACUOUS, Route.STRUCTURAL_GIRTH5, None, girth(g), None, None)
@@ -251,10 +251,9 @@ def classify(g: Graph, cap: int = DEFAULT_CAP) -> Classification:
     reports: list[ComponentReport] = []
     refutation: Refutation | None = None
     finite_girths: list[int] = []
-    for verts in induced_components(g):
-        cycle = None
-        if sum(len(adjacency[v]) for v in verts) != 2 * (len(verts) - 1):
-            cycle = shortest_cycle(adjacency, verts)
+    for verts in induced_components(adjacency):
+        cycle = shortest_cycle(adjacency, verts)
+        if cycle is not None:
             finite_girths.append(cycle)
         if cycle is None or cycle >= 5:
             report = _structural_report(g, verts, vc.leaves, outer)

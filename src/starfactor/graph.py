@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Container, Iterable, Sequence
 
 
 class GraphError(Exception):
@@ -185,20 +185,18 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error(f"truncated bitstream: need {nbytes} bytes, got {len(body)}")
     if len(body) > nbytes:
         raise Graph6Error(f"trailing bytes: need {nbytes} bytes, got {len(body)}")
-    bits = []
+    # the body's 6-bit groups as one integer, the way to_graph6 builds it:
+    # pair (u, v), u < v, is bit v(v-1)/2 + u from the most significant end
+    bits = 0
     for b in body:
-        value = b - 63
-        bits.extend((value >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[nbits:]):
+        bits = bits << 6 | (b - 63)
+    top = 6 * nbytes - 1
+    if bits & ((1 << (top + 1 - nbits)) - 1):
         raise Graph6Error("nonzero padding bits")
-    pairs = []
-    k = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[k]:
-                pairs.append((u, v))
-            k += 1
-    return Graph(n, tuple(sorted(pairs)))
+    pairs = [
+        (u, v) for u in range(n) for v in range(u + 1, n) if bits >> (top - v * (v - 1) // 2 - u) & 1
+    ]
+    return Graph(n, tuple(pairs))
 
 
 def to_graph6(g: Graph) -> str:
@@ -304,44 +302,34 @@ def graph_from_rows(rows: Sequence[int]) -> Graph:
     )
 
 
+Adjacency = dict[int, Sequence[int]] | Sequence[Sequence[int]]
+
+
 def girth(g: Graph) -> Girth:
     """Shortest cycle length; Infinite for forests.
 
-    A union-find over the edges finds the first edge that closes a cycle;
-    only then does the BFS of ``shortest_cycle`` run, over an adjacency
-    built from the edges.  Neither step keeps anything for a vertex that
-    no edge touches.
+    The least ``shortest_cycle`` over the components of an adjacency
+    built from the edges, which keeps nothing for a vertex that no edge
+    touches.
     """
-    parent: dict[int, int] = {}
-
-    def root(v: int) -> int:
-        # path halving keeps the trees shallow whatever the edge order
-        while (p := parent.get(v, v)) != v:
-            grandparent = parent.get(p, p)
-            parent[v] = grandparent
-            v = grandparent
-        return v
-
+    touched: dict[int, list[int]] = {}
     for u, v in g.edges:
-        ru, rv = root(u), root(v)
-        if ru == rv:
-            touched: dict[int, list[int]] = {}
-            for a, b in g.edges:
-                touched.setdefault(a, []).append(b)
-                touched.setdefault(b, []).append(a)
-            return Girth(shortest_cycle(touched, touched))
-        parent[ru] = rv
-    return Girth(None)
+        touched.setdefault(u, []).append(v)
+        touched.setdefault(v, []).append(u)
+    cycles = [shortest_cycle(touched, component) for component in induced_components(touched)]
+    return Girth(min((c for c in cycles if c is not None), default=None))
 
 
-def shortest_cycle(
-    adjacency: Mapping[int, Sequence[int]] | Sequence[Sequence[int]], vertices: Iterable[int]
-) -> int | None:
-    """Shortest cycle found by a BFS over ``adjacency`` from each of
-    ``vertices``: the girth of the components they fill (None for a
-    forest), with no subgraph built for them."""
+def shortest_cycle(adjacency: Adjacency, component: Sequence[int]) -> int | None:
+    """Girth of one whole component of ``adjacency``, None for a tree.
+
+    A tree is told by its degree sum, 2(k - 1) over k vertices; only a
+    component with a cycle gets a BFS from each of its vertices.
+    """
+    if sum([len(adjacency[v]) for v in component]) == 2 * (len(component) - 1):
+        return None
     best: int | None = None
-    for root in vertices:
+    for root in component:
         dist = {root: 0}
         queue = deque([root])
         while queue:
@@ -371,15 +359,18 @@ def classify_vertices(g: Graph) -> VertexClass:
 
 
 def induced_components(
-    g: Graph, starts: Iterable[int] | None = None, excluded: Container[int] = ()
+    adjacency: Adjacency, starts: Iterable[int] | None = None, excluded: Container[int] = ()
 ) -> list[tuple[int, ...]]:
-    """Components of g minus ``excluded`` that meet ``starts`` (default V),
-    as sorted tuples of g's vertex ids, in the order in which ``starts``
-    first meets them (by smallest vertex when ``starts`` increases)."""
-    adjacency = g.adjacency
+    """Components of the graph of ``adjacency`` minus ``excluded`` that
+    meet ``starts`` (default: every vertex, the keys of a dict or
+    0..len-1 of a sequence), as sorted tuples of vertex ids, in the order
+    in which ``starts`` first meets them (by smallest vertex when
+    ``starts`` increases).  The library's one component search."""
+    if starts is None:
+        starts = adjacency if isinstance(adjacency, dict) else range(len(adjacency))
     seen = set()
     components = []
-    for start in range(g.n) if starts is None else starts:
+    for start in starts:
         if start in seen or start in excluded:
             continue
         seen.add(start)
@@ -398,4 +389,4 @@ def induced_components(
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Vertex sets of the connected components, ordered by smallest vertex."""
-    return [frozenset(comp) for comp in induced_components(g)]
+    return [frozenset(comp) for comp in induced_components(g.adjacency)]

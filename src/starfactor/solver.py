@@ -60,6 +60,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, islice
@@ -75,7 +76,7 @@ from .factors import (
     enumerate_star_factors,
     mask_bits,
 )
-from .graph import Graph
+from .graph import Graph, induced_components
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -390,32 +391,22 @@ def decide_uniform_weighting(masks: Sequence[int], m: int) -> FeasibilityOutcome
 def _blocks(rows: list[list[int]], pivots: list[int]) -> list[tuple[list[int], list[int]]]:
     """The blocks of the row basis, as (row indices, columns) pairs.
 
-    Two rows share a block when they are nonzero in a shared column
-    (union-find over the rows' supports).  Each block's rows keep the
-    basis order, its columns are increasing, and the blocks come in the
-    order of their lowest pivot column.
+    A block is a component of the graph that joins row j to column r + e
+    (r rows) for each nonzero entry of B.  Its sorted vertex tuple lists
+    its rows first, in basis order, then its columns, increasing.  The
+    blocks come in the order of their lowest pivot column.
     """
-    parent = list(range(len(rows)))
-
-    def find(j: int) -> int:
-        while parent[j] != j:
-            parent[j] = j = parent[parent[j]]
-        return j
-
-    owner: dict[int, int] = {}  # a column's first row, the others join it
+    r = len(rows)
+    adjacency: dict[int, list[int]] = {}
     for j, row in enumerate(rows):
-        for e in compress(range(len(row)), row):
-            k = owner.setdefault(e, j)
-            if k != j:
-                parent[find(j)] = find(k)
-    members: dict[int, list[int]] = {}
-    for j in range(len(rows)):
-        members.setdefault(find(j), []).append(j)
-    columns: dict[int, list[int]] = {}
-    for e in sorted(owner):
-        columns.setdefault(find(owner[e]), []).append(e)
-    order = sorted(members, key=lambda root: min(pivots[j] for j in members[root]))
-    return [(members[root], columns[root]) for root in order]
+        adjacency[j] = [r + e for e in compress(range(len(row)), row)]
+        for c in adjacency[j]:
+            adjacency.setdefault(c, []).append(j)
+    blocks = []
+    for component in induced_components(adjacency, range(r)):
+        k = bisect_left(component, r)
+        blocks.append((list(component[:k]), [c - r for c in component[k:]]))
+    return sorted(blocks, key=lambda block: min(pivots[j] for j in block[0]))
 
 
 def _lp1(basis: Sequence[Sequence[Fraction | int]]) -> tuple[Fraction, list[Fraction]]:

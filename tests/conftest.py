@@ -10,13 +10,17 @@ over edge masks replaced; the references that reduce rows use it.
 ``reference_lp1`` and ``reference_lp2`` build the oracle's two linear
 programs over a list of reduced basis rows, and ``reference_block_lps``
 runs them one block of the basis at a time, with the blocks found by a
-breadth-first search instead of the library's union-find.
+breadth-first search over shared columns instead of the library's
+component search on the rows and columns.  ``time_limit`` bounds a
+test's wall time.
 """
 
 from __future__ import annotations
 
 import itertools
+import signal
 from collections import deque
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -377,6 +381,26 @@ def reference_block_lps(
         for e, w in zip(columns, x):
             weights[e] = w / scale
     return weights, None
+
+
+# ------------------------------------------------------------ time limit
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass,
+    so an exponential or quadratic search fails the test instead of
+    hanging it."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # --------------------------------------------------------------- the CLI

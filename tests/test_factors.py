@@ -1,8 +1,6 @@
 """Star-factor enumeration against the 2^m brute-force subset filter."""
 
 import itertools
-import signal
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +26,7 @@ from conftest import (
     path,
     spider,
     star,
+    time_limit,
 )
 from test_properties import graphs
 
@@ -248,23 +247,6 @@ class TestCoordinates:
         g = disjoint_union(path(3), path(3))
         spectrum = edge_count_spectrum(enumerate_star_factors(g))
         assert dict(spectrum) == {4: 1}
-
-
-@contextmanager
-def time_limit(seconds: float):
-    """Raise TimeoutError in the block once ``seconds`` of wall time pass,
-    so an exponential search fails the test instead of hanging it."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def caterpillar(legs: list[int]) -> Graph:

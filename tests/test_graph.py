@@ -1,7 +1,9 @@
 """Graph construction, parsing, girth, and structural primitives."""
 
 import pytest
+from hypothesis import given, settings
 
+from starfactor.classifier import classify
 from starfactor.graph import (
     DuplicateEdgeError,
     EdgeCountError,
@@ -20,7 +22,17 @@ from starfactor.graph import (
     to_graph6,
 )
 
-from conftest import brute_girth, cycle, disjoint_union, format_edge_list, path, petersen, star
+from conftest import (
+    brute_girth,
+    cycle,
+    disjoint_union,
+    format_edge_list,
+    path,
+    petersen,
+    star,
+    time_limit,
+)
+from test_properties import disconnected_graphs
 
 
 class TestConstruction:
@@ -141,18 +153,30 @@ class TestGirth:
         assert girth(petersen()).value == 5
 
     def test_matches_brute_force_on_small_graphs(self):
-        # [DERIVED: edge-removal-distance girth on every 4-vertex graph]
+        # [DERIVED: edge-removal-distance girth on every 5-vertex graph,
+        # 1,024 of them, many with several components]
         import itertools
 
-        pairs = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+        pairs = [(u, v) for u in range(5) for v in range(u + 1, 5)]
         for r in range(len(pairs) + 1):
             for chosen in itertools.combinations(pairs, r):
-                g = Graph(4, tuple(sorted(chosen)))
-                expected = brute_girth(g)
-                got = girth(g)
-                assert (got.value is None) == (expected is None)
-                if expected is not None:
-                    assert got.value == expected
+                g = Graph(5, tuple(sorted(chosen)))
+                assert girth(g).value == brute_girth(g), g.edges
+
+    @given(disconnected_graphs(max_n=14))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_on_disjoint_unions(self, g):
+        # paths, cycles, trees and random graphs side by side, relabeled
+        assert girth(g).value == brute_girth(g)
+
+    def test_long_tree_beside_a_cycle_is_not_quadratic(self):
+        # a BFS from each vertex of the path would take minutes; the path
+        # is a tree by its degree sum, so only the triangle is searched
+        n = 20_000
+        g = Graph(n + 3, tuple([(i, i + 1) for i in range(n - 1)] + [(n, n + 1), (n, n + 2), (n + 1, n + 2)]))
+        with time_limit(2.0):
+            assert girth(g).value == 3
+            assert classify(g).girth.value == 3
 
     def test_comparison_protocol(self):
         assert Girth(None).at_least(5) and Girth(None).at_least(10**9)
