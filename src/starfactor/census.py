@@ -40,6 +40,17 @@ MAX_BUILTIN_N = 7
 
 GIRTH_CLASSES = ("3", "4", "5", "6", "7", ">=8", "inf")
 
+# the report's columns: (CensusRow attribute, JSON key, text/TSV header)
+_COLUMNS = (
+    ("n", "n", "n"),
+    ("girth_class", "girthClass", "girth"),
+    ("graph_count", "graphCount", "graphs"),
+    ("omega_members", "omegaMembers", "omegaMembers"),
+    ("u_members", "uMembers", "uMembers"),
+    ("disagreements", "disagreements", "disagreements"),
+    ("cap_exceeded", "capExceeded", "capExceeded"),
+)
+
 
 @dataclass
 class CensusRow:
@@ -292,24 +303,17 @@ def _accumulate(
 
 
 def report(result: CensusResult, fmt: str = "text", cap: int = DEFAULT_CAP) -> str:
-    """Deterministic census report in text, json, or tsv form."""
+    """Deterministic census report in text, json, or tsv form.
+
+    ``_COLUMNS`` lists the rows' columns once, in order, for all three:
+    the ``CensusRow`` attribute, its JSON key, and its text/TSV header.
+    """
     if fmt == "json":
         payload = {
             "tool": "starfactor",
             "version": __version__,
             "cap": cap,
-            "rows": [
-                {
-                    "n": r.n,
-                    "girthClass": r.girth_class,
-                    "graphCount": r.graph_count,
-                    "omegaMembers": r.omega_members,
-                    "uMembers": r.u_members,
-                    "disagreements": r.disagreements,
-                    "capExceeded": r.cap_exceeded,
-                }
-                for r in result.rows
-            ],
+            "rows": [{key: getattr(r, attr) for attr, key, _ in _COLUMNS} for r in result.rows],
             "disagreements": [
                 {
                     "graph6": d.graph6,
@@ -320,29 +324,14 @@ def report(result: CensusResult, fmt: str = "text", cap: int = DEFAULT_CAP) -> s
             ],
         }
         return json.dumps(payload, indent=2) + "\n"
-    header = ["n", "girth", "graphs", "omegaMembers", "uMembers", "disagreements", "capExceeded"]
-    data = [
-        [
-            str(r.n),
-            r.girth_class,
-            str(r.graph_count),
-            str(r.omega_members),
-            str(r.u_members),
-            str(r.disagreements),
-            str(r.cap_exceeded),
-        ]
-        for r in result.rows
-    ]
+    table = [[head for *_, head in _COLUMNS]]
+    table += [[str(getattr(r, attr)) for attr, *_ in _COLUMNS] for r in result.rows]
     if fmt == "tsv":
-        lines = ["\t".join(header)]
-        lines.extend("\t".join(row) for row in data)
-        return "\n".join(lines) + "\n"
+        return "".join("\t".join(line) + "\n" for line in table)
     if fmt == "text":
-        widths = [max(len(h), *(len(row[i]) for row in data)) if data else len(h) for i, h in enumerate(header)]
+        widths = [max(map(len, column)) for column in zip(*table)]
         lines = [f"starfactor census v{__version__} (cap={cap})"]
-        lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-        for row in data:
-            lines.append("  ".join(x.ljust(w) for x, w in zip(row, widths)))
+        lines.extend("  ".join(x.ljust(w) for x, w in zip(line, widths)) for line in table)
         for d in result.disagreements:
             lines.append(f"DISAGREE {d.graph6} oracle={d.oracle_verdict} classifier={d.classifier_verdict}")
         return "\n".join(lines) + "\n"

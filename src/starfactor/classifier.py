@@ -108,6 +108,8 @@ class ComponentReport:
 
 @dataclass(frozen=True)
 class Classification:
+    """What ``classify`` returns; ``classify`` says what ``refutation`` certifies."""
+
     verdict: Verdict
     route: Route
     case_tag: CaseTag | None
@@ -234,13 +236,16 @@ def _fallback_report(
 def classify(g: Graph, cap: int = DEFAULT_CAP) -> Classification:
     """Component-wise classification of an arbitrary graph, in one pass.
 
-    Each component's girth comes from ``shortest_cycle``: infinite for
-    a tree, from a BFS over its vertices otherwise.  Girth >= 5
+    Each component's girth comes from ``shortest_cycle``.  Girth >= 5
     components take the structural path, others go to the brute-force
     oracle on a subgraph of their own.  The graph is a member iff every
     component is, with the witness concatenated over them; a non-member
     takes the tag of its first failing component.  A component on which
     the oracle exceeds the factor cap makes the verdict CapExceeded.
+    A refutation certifies the first component the oracle refuted, in
+    the edge and factor indices of that component's own renumbered
+    subgraph, so ``verify_outcome`` checks it against that subgraph's
+    factors, not g's.  A structural non-member has none.
     """
     if g.has_isolated_vertex():
         return Classification(Verdict.VACUOUS, Route.STRUCTURAL_GIRTH5, None, girth(g), None, None)
@@ -298,7 +303,8 @@ def _kind_str(kind: CoreComponentKind) -> str:
 
 
 def classification_to_json(g: Graph, cls: Classification) -> dict:
-    """The classifier's report object with fixed field names."""
+    """The classifier's report object with fixed field names; its
+    refutation is in the refuted component's own indices (``classify``)."""
     components = []
     for report in cls.per_component:
         if report.route is Route.ORACLE_FALLBACK:

@@ -11,7 +11,7 @@ import functools
 import json
 import os
 import sys
-from typing import Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 from . import __version__
 from .census import MAX_BUILTIN_N, cross_validate, report
@@ -121,19 +121,27 @@ def build_parser(out: TextIO | None = None, err: TextIO | None = None) -> argpar
         dest="command", required=True, parser_class=functools.partial(_Parser, **streams)
     )
 
-    def add_graph_command(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add_graph_command(name: str, help_text: str, handler: Callable[..., int]) -> None:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="input file, or '-' for stdin")
         p.add_argument("--format", choices=("edgelist", "graph6"), default=None)
         p.add_argument("--cap", type=int, default=None)
         p.add_argument("--output", choices=("text", "json"), default="text")
-        return p
+        p.set_defaults(
+            handler=lambda args, cap, inp, out: handler(
+                _load_graph(args.input, args.format, inp), cap, args.output, out
+            )
+        )
 
-    add_graph_command("girth", "print the girth")
-    add_graph_command("factors", "list and count star-factors")
-    add_graph_command("oracle", "brute-force membership decision")
-    add_graph_command("classify", "structural classification (oracle fallback)")
-    add_graph_command("witness", "classify and print the witness weighting only")
+    add_graph_command("girth", "print the girth", _run_girth)
+    add_graph_command("factors", "list and count star-factors", _run_factors)
+    add_graph_command("oracle", "brute-force membership decision", _run_oracle)
+    add_graph_command("classify", "structural classification (oracle fallback)", _run_classify)
+    add_graph_command(
+        "witness",
+        "classify and print the witness weighting only",
+        functools.partial(_run_classify, witness_only=True),
+    )
 
     c = sub.add_parser("census", help="cross-validate classifier vs oracle")
     c.add_argument("-n", dest="nrange", default=None, help="size range MIN..MAX (built-in, n <= 7)")
@@ -142,6 +150,7 @@ def build_parser(out: TextIO | None = None, err: TextIO | None = None) -> argpar
     c.add_argument("--cap", type=int, default=None)
     c.add_argument("--workers", type=int, default=0, help="0 = available parallelism")
     c.add_argument("--output", choices=("text", "json", "tsv"), default="text")
+    c.set_defaults(handler=_run_census)
     return parser
 
 
@@ -163,23 +172,7 @@ def run(
         cap = args.cap if args.cap is not None else _default_cap()
         if cap < 1:
             raise CliError("cap must be >= 1")
-        if args.command == "census":
-            return _run_census(args, cap, out)
-        g = _load_graph(args.input, args.format, inp)
-        if args.command == "girth":
-            gg = girth(g)
-            if args.output == "json":
-                _print_json({"girth": gg.value}, out)
-            else:
-                print(gg, file=out)
-            return 0
-        if args.command == "factors":
-            return _run_factors(g, cap, args.output, out)
-        if args.command == "oracle":
-            return _run_oracle(g, cap, args.output, out)
-        if args.command in ("classify", "witness"):
-            return _run_classify(g, cap, args.output, out, witness_only=args.command == "witness")
-        raise CliError(f"unknown command {args.command}")
+        return args.handler(args, cap, inp, out)
     except (CliError, GraphError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
@@ -196,6 +189,15 @@ def _cap_exceeded(cap: int, output: str, out: TextIO) -> int:
     else:
         print(f"CapExceeded (more than {cap} star-factors)", file=out)
     return EXIT_CAP
+
+
+def _run_girth(g: Graph, cap: int, output: str, out: TextIO) -> int:
+    gg = girth(g)
+    if output == "json":
+        _print_json({"girth": gg.value}, out)
+    else:
+        print(gg, file=out)
+    return 0
 
 
 def _run_factors(g: Graph, cap: int, output: str, out: TextIO) -> int:
@@ -256,7 +258,7 @@ def _run_oracle(g: Graph, cap: int, output: str, out: TextIO) -> int:
     return _VERDICT_EXIT[result.verdict]
 
 
-def _run_classify(g: Graph, cap: int, output: str, out: TextIO, witness_only: bool) -> int:
+def _run_classify(g: Graph, cap: int, output: str, out: TextIO, witness_only: bool = False) -> int:
     cls = classify(g, cap=cap)
     if cls.verdict is Verdict.CAP_EXCEEDED:
         return _cap_exceeded(cap, output, out)
@@ -281,7 +283,7 @@ def _run_classify(g: Graph, cap: int, output: str, out: TextIO, witness_only: bo
     return _VERDICT_EXIT[cls.verdict]
 
 
-def _run_census(args: argparse.Namespace, cap: int, out: TextIO) -> int:
+def _run_census(args: argparse.Namespace, cap: int, inp: TextIO, out: TextIO) -> int:
     if args.workers < 0:
         raise CliError(f"--workers must be >= 0, got {args.workers}")
     ns = _parse_range(args.nrange) if args.nrange else []

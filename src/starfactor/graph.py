@@ -323,13 +323,16 @@ def girth(g: Graph) -> Girth:
 def shortest_cycle(adjacency: Adjacency, component: Sequence[int]) -> int | None:
     """Girth of one whole component of ``adjacency``, None for a tree.
 
-    A tree is told by its degree sum, 2(k - 1) over k vertices; only a
-    component with a cycle gets a BFS from each of its vertices.
+    A tree is told by its degree sum, 2(k - 1) over k vertices.  A BFS
+    from a vertex of a shortest cycle finds its length, and every cycle
+    but a whole component has a vertex of degree >= 3; so the BFS runs
+    from those, or from one vertex of a component that is one cycle.
     """
     if sum([len(adjacency[v]) for v in component]) == 2 * (len(component) - 1):
         return None
     best: int | None = None
-    for root in component:
+    roots = [v for v in component if len(adjacency[v]) >= 3] or component[:1]
+    for root in roots:
         dist = {root: 0}
         queue = deque([root])
         while queue:

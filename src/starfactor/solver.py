@@ -409,30 +409,38 @@ def _blocks(rows: list[list[int]], pivots: list[int]) -> list[tuple[list[int], l
     return sorted(blocks, key=lambda block: min(pivots[j] for j in block[0]))
 
 
+def _boxed(rows: list[list[Fraction | int]], box: range) -> list[int]:
+    """Bound each column j in ``box`` by 1: extend ``rows`` (equations
+    with rhs 0) by one zero column per j, then append the row
+    x_j + u_j = 1, u_j being j's new slack column.  Returns the rhs."""
+    width, k = len(rows[0]), len(box)
+    rhs = [0] * len(rows) + [1] * k
+    zeros = [0] * k
+    for row in rows:
+        row += zeros
+    for i, j in enumerate(box):
+        row = [0] * (width + k)
+        row[j] = 1
+        row[width + i] = 1
+        rows.append(row)
+    return rhs
+
+
 def _lp1(basis: Sequence[Sequence[Fraction | int]]) -> tuple[Fraction, list[Fraction]]:
     """LP1 over the m columns of ``basis``: maximize t subject to
     B w = 0, w_e >= t, w_e <= 1.  Returns (t*, x) with x[:m] the weights."""
     m = len(basis[0])
     # variables: w_0..w_{m-1}, t, surplus s_e (w_e - t >= 0), slack u_e (w_e <= 1)
-    nvars = 3 * m + 1
-    lp_rows: list[list[Fraction | int]] = [[*brow, *[0] * (2 * m + 1)] for brow in basis]
-    rhs: list[int] = [0] * len(basis)
+    rows: list[list[Fraction | int]] = [[*brow, *[0] * (m + 1)] for brow in basis]
     for e in range(m):
-        row = [0] * nvars
+        row = [0] * (2 * m + 1)
         row[e] = 1
         row[m] = -1
         row[m + 1 + e] = -1
-        lp_rows.append(row)
-        rhs.append(0)
-    for e in range(m):
-        row = [0] * nvars
-        row[e] = 1
-        row[2 * m + 1 + e] = 1
-        lp_rows.append(row)
-        rhs.append(1)
-    c = [0] * nvars
-    c[m] = 1
-    return simplex.solve(c, lp_rows, rhs)
+        rows.append(row)
+    rhs = _boxed(rows, range(m))
+    c = [0] * m + [1] + [0] * (2 * m)
+    return simplex.solve(c, rows, rhs)
 
 
 def _lp2(basis: Sequence[Sequence[Fraction | int]]) -> list[Fraction]:
@@ -440,26 +448,16 @@ def _lp2(basis: Sequence[Sequence[Fraction | int]]) -> list[Fraction]:
     exists by Stiemke's alternative when LP1's optimum is 0)."""
     r, m = len(basis), len(basis[0])
     # variables: p_j, q_j (y_j = p_j - q_j), s_e = (y.B)_e, slack u_e (s_e <= 1)
-    nvars = 2 * r + 2 * m
     rows: list[list[Fraction | int]] = []
-    rhs: list[int] = []
     for e in range(m):
-        row = [0] * nvars
+        row = [0] * (2 * r + m)
         for j, brow in enumerate(basis):
             row[j] = brow[e]
             row[r + j] = -brow[e]
         row[2 * r + e] = -1
         rows.append(row)
-        rhs.append(0)
-    for e in range(m):
-        row = [0] * nvars
-        row[2 * r + e] = 1
-        row[2 * r + m + e] = 1
-        rows.append(row)
-        rhs.append(1)
-    c = [0] * nvars
-    for e in range(m):
-        c[2 * r + e] = 1
+    rhs = _boxed(rows, range(2 * r, 2 * r + m))
+    c = [0] * (2 * r) + [1] * m + [0] * m
     total, x = simplex.solve(c, rows, rhs)
     if total <= ZERO:
         raise AssertionError("Stiemke alternative violated: no certificate found")

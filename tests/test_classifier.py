@@ -218,6 +218,19 @@ class TestFullClassify:
         assert cls.route is Route.ORACLE_FALLBACK
         assert cls.refutation is not None
 
+    @pytest.mark.parametrize("other", [path(2), cycle(5)], ids=["edge", "C5"])
+    def test_fallback_refutation_certifies_its_own_component(self, other):
+        # a disconnected graph's refutation is the refuted component's
+        # certificate, in that component's renumbered edge and factor
+        # indices: it checks against the diamond's factors, not the graph's
+        diamond = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+        g = disjoint_union(other, diamond)
+        cls = classify(g)
+        assert cls.verdict is Verdict.NOT_MEMBER
+        assert len(cls.refutation.forced_zero) == diamond.m < g.m
+        assert verify_outcome(incidence_vectors(enumerate_star_factors(diamond), diamond.m), cls.refutation)
+        assert not verify_outcome(incidence_vectors(enumerate_star_factors(g), g.m), cls.refutation)
+
     def test_mixed_components_witness_concatenates(self):
         g = disjoint_union(cycle(5), path(4))
         cls = classify(g)

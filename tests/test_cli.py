@@ -281,6 +281,11 @@ class TestErrorsAndConfig:
         assert code == EXIT_USAGE
         assert "error:" in err
 
+    def test_edge_line_with_three_tokens(self):
+        code, out, err = invoke(["classify", "-"], stdin_text="2 1\n0 1 2\n")
+        assert code == EXIT_USAGE
+        assert out == "" and err == "error: expected 'u v', got '0 1 2'\n"
+
     def test_malformed_graph6(self):
         code, _, err = invoke(["classify", "-", "--format", "graph6"], stdin_text="~zz\n")
         assert code == EXIT_USAGE

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starfactor.classifier import classify
 from starfactor.graph import (
@@ -32,7 +33,7 @@ from conftest import (
     star,
     time_limit,
 )
-from test_properties import disconnected_graphs
+from test_properties import disconnected_graphs, graphs
 
 
 class TestConstruction:
@@ -51,6 +52,10 @@ class TestConstruction:
     def test_out_of_range_rejected(self):
         with pytest.raises(VertexRangeError):
             Graph.from_edges(2, [(0, 2)])
+
+    def test_unnormalized_direct_construction_rejected(self):
+        with pytest.raises(GraphError, match=r"edge \(1, 0\) not normalized"):
+            Graph(2, ((1, 0),))
 
     def test_unsorted_direct_construction_rejected(self):
         with pytest.raises(GraphError):
@@ -92,6 +97,10 @@ class TestEdgeListFormat:
     def test_non_integer_tokens(self):
         with pytest.raises(EdgeListParseError):
             parse_edge_list("2 1\n0 x\n")
+
+    def test_edge_line_with_three_tokens(self):
+        with pytest.raises(EdgeListParseError, match="expected 'u v', got '0 1 2'"):
+            parse_edge_list("2 1\n0 1 2\n")
 
     def test_loop_and_duplicate_in_text(self):
         with pytest.raises(LoopError):
@@ -177,6 +186,30 @@ class TestGirth:
         with time_limit(2.0):
             assert girth(g).value == 3
             assert classify(g).girth.value == 3
+
+    @pytest.mark.parametrize("chord", [False, True], ids=["C20000", "C20000+chord"])
+    def test_long_cycle_is_not_quadratic(self, chord):
+        # a BFS from each vertex of the cycle would take minutes; a lone
+        # cycle gets one BFS, and with a chord only its two ends are roots
+        n = 20_000
+        g = Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)] + ([(0, n // 2)] if chord else []))
+        with time_limit(2.0):
+            assert girth(g).value == (n // 2 + 1 if chord else n)
+            assert classify(g).girth.value == girth(g).value
+
+    @given(graphs(max_n=7), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force_on_subdivided_graphs(self, base, data):
+        # subdividing edges makes long runs of degree-2 vertices, which the
+        # BFS never starts from
+        n, edges = base.n, []
+        for u, v in base.edges:
+            k = data.draw(st.integers(0, 3))
+            chain = [u, *range(n, n + k), v]
+            edges += zip(chain, chain[1:])
+            n += k
+        g = Graph.from_edges(n, edges)
+        assert girth(g).value == brute_girth(g)
 
     def test_comparison_protocol(self):
         assert Girth(None).at_least(5) and Girth(None).at_least(10**9)
