@@ -36,13 +36,18 @@ order:
    a shared column, and the blocks share no variable, so LP1 runs on
    each block's columns alone and t is the least of their optima.  Each
    block's weights are scaled to minimum 1, and an edge in no row of B
-   (in every factor or in none) weighs 1.  On the 14-vertex double star
-   one LP1 of 35 rows over 46 variables becomes three, of 13 x 16,
-   7 x 10 and 7 x 10.
+   (in every factor or in none) weighs 1.  A block of one row b needs no
+   LP: with P and N the sums of b's positive entries and of its negative
+   ones' absolute values, t* = min(P, N) / max(P, N) > 0 is tight at
+   every inequality, so the side with the larger sum weighs 1 and the
+   other max(P, N) / min(P, N) (``_one_row_weights``).  On the 14-vertex
+   double star one LP1 of 35 rows over 46 variables becomes one LP1 of
+   13 x 16 and two blocks of one row decided in closed form.
 4. At the first block whose optimum is t = 0, Stiemke's alternative
    guarantees a nonnegative nonzero vector y.B in that block's row
    space, and LP2 on that block alone finds y.  With y zero on every
-   other row, y.B is a certificate for the whole of B.
+   other row, y.B is a certificate for the whole of B.  A one-row block
+   never has t* = 0, so LP2 runs only on blocks of two or more rows.
 
 Only for a certificate are its coefficients on the rows of D recovered.
 They are the unique solution of one r x r integer system read off the
@@ -366,24 +371,30 @@ def decide_uniform_weighting(masks: Sequence[int], m: int) -> FeasibilityOutcome
     # free and weighs 1.
     weights = [ONE] * m
     for block, columns in _blocks(rows, pivots):
-        # the block's rows of the reduced basis, each divided by its pivot entry
-        basis = [
-            [row[e] for e in columns]
-            if row[p] == 1
-            else [Fraction(row[e], row[p]) if row[e] else 0 for e in columns]
-            for row, p in ((rows[j], pivots[j]) for j in block)
-        ]
-        t_opt, x = _lp1(basis)
-        if t_opt == ZERO:
-            # a certificate for this block's rows is one for B, with y = 0
-            # on every other row
-            ys = [ZERO] * r
-            for j, y in zip(block, _lp2(basis)):
-                ys[j] = y
-            return _refutation(masks, ys, rows, pivots, used)
-        scale = min(x[: len(columns)])
-        for e, w in zip(columns, x):
-            weights[e] = w / scale
+        if len(block) == 1:
+            # LP1's optimum is a formula there, and it is never 0
+            row = rows[block[0]]
+            block_weights = _one_row_weights([row[e] for e in columns])
+        else:
+            # the block's rows of the reduced basis, each divided by its pivot entry
+            basis = [
+                [row[e] for e in columns]
+                if row[p] == 1
+                else [Fraction(row[e], row[p]) if row[e] else 0 for e in columns]
+                for row, p in ((rows[j], pivots[j]) for j in block)
+            ]
+            t_opt, x = _lp1(basis)
+            if t_opt == ZERO:
+                # a certificate for this block's rows is one for B, with y = 0
+                # on every other row
+                ys = [ZERO] * r
+                for j, y in zip(block, _lp2(basis)):
+                    ys[j] = y
+                return _refutation(masks, ys, rows, pivots, used)
+            scale = min(x[: len(columns)])
+            block_weights = [w / scale for w in x[: len(columns)]]
+        for e, w in zip(columns, block_weights):
+            weights[e] = w
     common = sum(w for w, bit in zip(weights, first) if bit)
     return Witness(weighting=Weighting(tuple(weights)), common_weight=Fraction(common))
 
@@ -409,36 +420,57 @@ def _blocks(rows: list[list[int]], pivots: list[int]) -> list[tuple[list[int], l
     return sorted(blocks, key=lambda block: min(pivots[j] for j in block[0]))
 
 
-def _boxed(rows: list[list[Fraction | int]], box: range) -> list[int]:
-    """Bound each column j in ``box`` by 1: extend ``rows`` (equations
-    with rhs 0) by one zero column per j, then append the row
-    x_j + u_j = 1, u_j being j's new slack column.  Returns the rhs."""
-    width, k = len(rows[0]), len(box)
-    rhs = [0] * len(rows) + [1] * k
-    zeros = [0] * k
-    for row in rows:
-        row += zeros
+def _one_row_weights(row: Sequence[int]) -> list[Fraction]:
+    """LP1's weights, scaled to minimum 1, for a block of one row b,
+    given as b's entries on the block's columns.
+
+    Every entry is nonzero, and b has both signs (a one-signed row is a
+    certificate).  Let P be the sum of b's positive entries and N that of
+    the absolute values of its negative ones, say P >= N.  Then b.w = 0
+    and t <= w <= 1 give t P <= sum_+ b_e w_e = sum_- |b_e| w_e <= N, so
+    t* = N / P > 0, and at t* every inequality is tight: w_e = t* on the
+    positive side and 1 on the negative side.  That optimum is unique, so
+    it is LP1's; scaled to minimum 1, the side with the larger sum weighs 1
+    and the other max(P, N) / min(P, N).  The case P < N is symmetric.
+    """
+    positive = sum(x for x in row if x > 0)
+    negative = positive - sum(row)
+    if positive >= negative:
+        heavy = Fraction(positive, negative)
+        return [ONE if x > 0 else heavy for x in row]
+    heavy = Fraction(negative, positive)
+    return [heavy if x > 0 else ONE for x in row]
+
+
+def _box_rows(width: int, box: range) -> list[list[int]]:
+    """The rows x_j + u_j = 1 (rhs 1) that bound each column j in ``box``
+    by 1, over ``width`` columns whose last len(box) are the slacks u_j,
+    in the order of ``box``."""
+    start = width - len(box)
+    rows = []
     for i, j in enumerate(box):
-        row = [0] * (width + k)
+        row = [0] * width
         row[j] = 1
-        row[width + i] = 1
+        row[start + i] = 1
         rows.append(row)
-    return rhs
+    return rows
 
 
 def _lp1(basis: Sequence[Sequence[Fraction | int]]) -> tuple[Fraction, list[Fraction]]:
     """LP1 over the m columns of ``basis``: maximize t subject to
     B w = 0, w_e >= t, w_e <= 1.  Returns (t*, x) with x[:m] the weights."""
     m = len(basis[0])
+    width = 3 * m + 1
     # variables: w_0..w_{m-1}, t, surplus s_e (w_e - t >= 0), slack u_e (w_e <= 1)
-    rows: list[list[Fraction | int]] = [[*brow, *[0] * (m + 1)] for brow in basis]
+    rows: list[list[Fraction | int]] = [[*brow, *[0] * (2 * m + 1)] for brow in basis]
     for e in range(m):
-        row = [0] * (2 * m + 1)
+        row = [0] * width
         row[e] = 1
         row[m] = -1
         row[m + 1 + e] = -1
         rows.append(row)
-    rhs = _boxed(rows, range(m))
+    rhs = [0] * len(rows) + [1] * m
+    rows += _box_rows(width, range(m))
     c = [0] * m + [1] + [0] * (2 * m)
     return simplex.solve(c, rows, rhs)
 
@@ -448,15 +480,17 @@ def _lp2(basis: Sequence[Sequence[Fraction | int]]) -> list[Fraction]:
     exists by Stiemke's alternative when LP1's optimum is 0)."""
     r, m = len(basis), len(basis[0])
     # variables: p_j, q_j (y_j = p_j - q_j), s_e = (y.B)_e, slack u_e (s_e <= 1)
+    width = 2 * r + 2 * m
     rows: list[list[Fraction | int]] = []
     for e in range(m):
-        row = [0] * (2 * r + m)
+        row = [0] * width
         for j, brow in enumerate(basis):
             row[j] = brow[e]
             row[r + j] = -brow[e]
         row[2 * r + e] = -1
         rows.append(row)
-    rhs = _boxed(rows, range(2 * r, 2 * r + m))
+    rhs = [0] * m + [1] * m
+    rows += _box_rows(width, range(2 * r, 2 * r + m))
     c = [0] * (2 * r) + [1] * m + [0] * m
     total, x = simplex.solve(c, rows, rhs)
     if total <= ZERO:

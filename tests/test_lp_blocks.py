@@ -16,14 +16,23 @@ left out: a certificate must be the same to the byte, and a witness the
 same once the whole basis's weights on the free edges are set to 1.
 Every LP-decided class with n <= 7 has a free edge, so a witness's bytes
 move even where B has one block.
+
+A block of one row b is decided in closed form, with no LP: with P the
+sum of b's positive entries and N that of its negative ones' absolute
+values, LP1's optimum is t* = min(P, N) / max(P, N), and its weights,
+scaled to minimum 1, are 1 on the side with the larger sum and
+max(P, N) / min(P, N) on the other.  The closed form must equal LP1 run
+on that row, on every one-row block the connected classes with n <= 7
+meet and on random primitive rows of both signs.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import islice
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from starfactor import solver
@@ -188,3 +197,64 @@ def test_random_graphs_with_pendant_leaves(g):
     except (VacuousGraph, CapExceeded):
         assume(False)
     check(g, masks)
+
+
+def check_one_row(row: list[int], pivot: int) -> None:
+    """The closed form against LP1 on ``row``, a primitive row of both
+    signs with no zero entry, positive at ``pivot``; LP1 reads it divided
+    by its pivot entry, as the decision builds a block's LP1."""
+    weights = solver._one_row_weights(row)
+    t_opt, x = solver._lp1(reduced_rows([row], [pivot], list(range(len(row)))))
+    positive = sum(v for v in row if v > 0)
+    negative = -sum(v for v in row if v < 0)
+    assert t_opt == Fraction(min(positive, negative), max(positive, negative)), row
+    scale = min(x[: len(row)])
+    assert weights == [w / scale for w in x[: len(row)]], row
+    assert all(type(w) is Fraction for w in weights)
+
+
+def test_one_row_blocks_of_every_connected_class_up_to_seven_vertices():
+    classes = _connected_classes(7, None)
+    rows_seen = 0
+    for g in (g for n in range(2, 8) for g, _ in classes[n]):
+        masks = enumerate_star_factors(g)
+        rows, pivots, _ = _basis(masks, g.m)
+        if not _needs_lp(masks, rows):
+            continue
+        for block, columns in solver._blocks(rows, pivots):
+            if len(block) == 1:
+                row, pivot = rows[block[0]], pivots[block[0]]
+                check_one_row([row[e] for e in columns], columns.index(pivot))
+                rows_seen += 1
+    # 32 one-row blocks, 10 of them with P = N, beside 18 of 2 to 4 rows
+    assert rows_seen == 32
+
+
+@st.composite
+def primitive_mixed_rows(draw):
+    """(row, pivot): a primitive integer row with entries of both signs and
+    none zero, some with P = N, and a pivot at one of its positive
+    entries, not always the largest."""
+    entries = st.integers(min_value=1, max_value=7)
+    positive = draw(st.lists(entries, min_size=1, max_size=5))
+    negative = draw(st.lists(entries, min_size=1, max_size=5))
+    gap = sum(positive) - sum(negative)
+    if gap and draw(st.booleans()):
+        # one more entry on the lighter side makes P = N
+        (negative if gap > 0 else positive).append(abs(gap))
+    row = draw(st.permutations([*positive, *(-v for v in negative)]))
+    divisor = math.gcd(*row)
+    row = [v // divisor for v in row]
+    pivot = draw(st.sampled_from([e for e, v in enumerate(row) if v > 0]))
+    return row, pivot
+
+
+@settings(max_examples=300, deadline=None)
+@given(primitive_mixed_rows())
+@example(([1, -1], 0))  # P = N: every weight 1
+@example(([1, 1, -2], 1))  # P = N over three entries
+@example(([1, 3, -2], 0))  # the largest entry is not the pivot
+@example(([2, -3, -1], 0))  # P < N
+@example(([1, -5, 2, 3], 0))  # P > N, the pivot the smallest positive entry
+def test_one_row_closed_form_is_lp1(case):
+    check_one_row(*case)
