@@ -9,9 +9,12 @@ star K_{1,m} (center of original degree m when m >= 2), or an isolated
 vertex.  Members get a constructed witness weighting; graphs of girth
 three or four fall back to the brute-force oracle.
 
-``classify`` reads everything off the input graph's adjacency, in its
-own vertex ids: the components, the leaves and stems (once per call),
-the girth of each component with a cycle, and the core components.  It
+``classify`` makes one pass over the input graph's adjacency, in its own
+vertex ids.  It reads a degree list once and marks the leaves and the
+stems (their neighbors) in one bytearray; a component is a tree by its
+degree sum, and only a component with a cycle is searched for its girth.
+One search over the unmarked vertices finds every core component, and
+each graph component takes its own cores from that search in order.  It
 builds a subgraph only for a component that goes to the oracle.
 """
 
@@ -21,12 +24,12 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .factors import DEFAULT_CAP
 from .graph import (
     Girth,
     Graph,
-    classify_vertices,
     connected_components,
     girth,
     induced_components,
@@ -119,79 +122,6 @@ class Classification:
     per_component: tuple[ComponentReport, ...] = ()
 
 
-def _core_component_kind(
-    g: Graph, verts: tuple[int, ...], outer: frozenset[int]
-) -> CoreComponentKind:
-    """Shape of one core component; ``outer`` holds the leaves and stems."""
-    if len(verts) == 1:
-        return IsolatedVertexCore(vertex=verts[0])
-    # verts is a whole component of g minus outer, so a vertex's core
-    # degree counts its neighbors outside outer
-    adjacency = g.adjacency
-    degs = {v: sum(1 for u in adjacency[v] if u not in outer) for v in verts}
-    if sum(degs.values()) == 2 * (len(verts) - 1):
-        # a tree with a vertex adjacent to all the others is a star
-        center = next((v for v in verts if degs[v] == len(verts) - 1), None)
-        if center is not None:
-            return StarCore(
-                center=center,
-                leaves=tuple(v for v in verts if v != center),
-                center_degree=len(adjacency[center]),
-            )
-    if len(verts) == 5 and all(degs[v] == 2 for v in verts):
-        high = tuple(v for v in verts if len(adjacency[v]) >= 3)
-        return FiveCycleCore(vertices=verts, high_degree=high)
-    return OtherCore(vertices=verts, reason="neither a star, a 5-cycle, nor a vertex")
-
-
-def _core_kind_ok(kind: CoreComponentKind, g: Graph) -> bool:
-    if isinstance(kind, StarCore):
-        return kind.m == 1 or kind.center_degree == kind.m
-    if isinstance(kind, FiveCycleCore):
-        high = kind.high_degree
-        return len(high) < 2 or (len(high) == 2 and high[1] not in g.adjacency[high[0]])
-    return isinstance(kind, IsolatedVertexCore)
-
-
-_CASE_TAGS = {
-    FiveCycleCore: CaseTag.CASE_4A,
-    StarCore: CaseTag.CASE_4B,
-    IsolatedVertexCore: CaseTag.CASE_4C,
-}
-
-
-def _structural_report(
-    g: Graph, verts: tuple[int, ...], leaves: frozenset[int], outer: frozenset[int]
-) -> ComponentReport:
-    """Decide one connected component of g of girth >= 5.
-
-    ``leaves`` holds the leaves of g and ``outer`` its leaves and stems;
-    both are local to the component, because a vertex has the same
-    degree in g as in its component.
-    """
-
-    def report(verdict: Verdict, tag: CaseTag, kinds=()) -> ComponentReport:
-        return ComponentReport(verts, verdict, Route.STRUCTURAL_GIRTH5, tag, tuple(kinds))
-
-    if leaves.isdisjoint(verts):
-        # minimum degree >= 2: members are exactly the 5-cycle and 7-cycle
-        if len(verts) in (5, 7) and all(g.degree(v) == 2 for v in verts):
-            return report(Verdict.MEMBER, CaseTag.C5 if len(verts) == 5 else CaseTag.C7)
-        return report(Verdict.NOT_MEMBER, CaseTag.NEG_DELTA2_GIRTH)
-
-    if outer.issuperset(verts):
-        return report(Verdict.MEMBER, CaseTag.ALL_LEAF_OR_STEM)
-
-    kinds = [
-        _core_component_kind(g, core, outer)
-        for core in induced_components(g.adjacency, verts, outer)
-    ]
-    if not all(_core_kind_ok(k, g) for k in kinds):
-        return report(Verdict.NOT_MEMBER, CaseTag.NEG_CORE_SHAPE, kinds)
-    tags = {_CASE_TAGS[type(kind)] for kind in kinds}
-    return report(Verdict.MEMBER, tags.pop() if len(tags) == 1 else CaseTag.MIXED_4, kinds)
-
-
 def classify_connected_girth5(g: Graph) -> Classification:
     """Structural decision for one connected graph of girth >= 5.
 
@@ -236,41 +166,107 @@ def _fallback_report(
 def classify(g: Graph, cap: int = DEFAULT_CAP) -> Classification:
     """Component-wise classification of an arbitrary graph, in one pass.
 
-    Each component's girth comes from ``shortest_cycle``.  Girth >= 5
-    components take the structural path, others go to the brute-force
-    oracle on a subgraph of their own.  The graph is a member iff every
-    component is, with the witness concatenated over them; a non-member
-    takes the tag of its first failing component.  A component on which
-    the oracle exceeds the factor cap makes the verdict CapExceeded.
-    A refutation certifies the first component the oracle refuted, in
-    the edge and factor indices of that component's own renumbered
-    subgraph, so ``verify_outcome`` checks it against that subgraph's
-    factors, not g's.  A structural non-member has none.
+    A component is a tree by its degree sum, and only one with a cycle
+    gets its girth from ``shortest_cycle``.  Girth >= 5 components take
+    the structural path, others go to the brute-force oracle on a
+    subgraph of their own.  The graph is a member iff every component is,
+    with the witness concatenated over them; a non-member takes the tag of
+    its first failing component.  A component on which the oracle exceeds
+    the factor cap makes the verdict CapExceeded.  A refutation certifies
+    the first component the oracle refuted, in the edge and factor indices
+    of that component's own renumbered subgraph, so ``verify_outcome``
+    checks it against that subgraph's factors, not g's.  A structural
+    non-member has none.
     """
     if g.has_isolated_vertex():
         return Classification(Verdict.VACUOUS, Route.STRUCTURAL_GIRTH5, None, girth(g), None, None)
-    adjacency = g.adjacency
-    vc = classify_vertices(g)
-    outer = vc.leaves | vc.stems
+    n, adjacency = g.n, g.adjacency
+    degree = list(map(len, adjacency))
+    # 1 marks a leaf or a stem.  A component has a leaf iff it has a stem,
+    # the leaf's neighbor, so it has no leaf iff none of it is marked.
+    outer = bytearray(n)
+    for v in compress(range(n), map((1).__eq__, degree)):
+        outer[v] = outer[adjacency[v][0]] = 1
+    components = induced_components(adjacency)
+    # every core component in one search, which meets them component by
+    # component and within each by smallest vertex; a component's cores
+    # are the next ones, up to its count of core vertices
+    starts = [v for verts in components for v in verts if not outer[v]]
+    cores = iter(induced_components(adjacency, starts, frozenset(compress(range(n), outer))))
+    is_outer, degree_of = outer.__getitem__, degree.__getitem__
+    member, structural = Verdict.MEMBER, Route.STRUCTURAL_GIRTH5
     weights = [ONE] * g.m
     reports: list[ComponentReport] = []
     refutation: Refutation | None = None
     finite_girths: list[int] = []
-    for verts in induced_components(adjacency):
-        cycle = shortest_cycle(adjacency, verts)
-        if cycle is not None:
+    k11_edges: list[tuple[int, int]] = []
+    for verts in components:
+        core_count = len(verts) - sum(map(is_outer, verts))
+        found = []
+        while core_count:
+            found.append(next(cores))
+            core_count -= len(found[-1])
+        if sum(map(degree_of, verts)) != 2 * (len(verts) - 1):
+            cycle = shortest_cycle(adjacency, verts)
             finite_girths.append(cycle)
-        if cycle is None or cycle >= 5:
-            report = _structural_report(g, verts, vc.leaves, outer)
+            if cycle < 5:
+                report, refuted = _fallback_report(g, verts, cap, weights)
+                if report.verdict is Verdict.CAP_EXCEEDED:
+                    return Classification(
+                        Verdict.CAP_EXCEEDED, Route.ORACLE_FALLBACK, None, girth(g), None, None
+                    )
+                if refutation is None:
+                    refutation = refuted
+                reports.append(report)
+                continue
+        kinds: list[CoreComponentKind] = []
+        if not found:
+            verdict, tag = member, CaseTag.ALL_LEAF_OR_STEM
+        elif len(found[0]) == len(verts):
+            # no leaf, so minimum degree >= 2: members are exactly the
+            # 5-cycle and the 7-cycle
+            if len(verts) in (5, 7) and all(degree[v] == 2 for v in verts):
+                verdict, tag = member, CaseTag.C5 if len(verts) == 5 else CaseTag.C7
+            else:
+                verdict, tag = Verdict.NOT_MEMBER, CaseTag.NEG_DELTA2_GIRTH
         else:
-            report, refuted = _fallback_report(g, verts, cap, weights)
-            if report.verdict is Verdict.CAP_EXCEEDED:
-                return Classification(
-                    Verdict.CAP_EXCEEDED, Route.ORACLE_FALLBACK, None, girth(g), None, None
-                )
-            if refutation is None:
-                refutation = refuted
-        reports.append(report)
+            core_tags = set()
+            shapes_ok = True
+            for core in found:
+                size = len(core)
+                if size == 1:
+                    kinds.append(IsolatedVertexCore(vertex=core[0]))
+                    core_tags.add(CaseTag.CASE_4C)
+                    continue
+                # a core vertex's core neighbors are its unmarked neighbors
+                core_degrees = [degree[v] - sum(map(is_outer, adjacency[v])) for v in core]
+                if sum(core_degrees) == 2 * (size - 1) and size - 1 in core_degrees:
+                    # a tree with a vertex adjacent to all the others is a
+                    # star; of a K_{1,1}, the center is the smaller vertex
+                    c = core_degrees.index(size - 1)
+                    center = core[c]
+                    kinds.append(StarCore(center, core[:c] + core[c + 1:], degree[center]))
+                    core_tags.add(CaseTag.CASE_4B)
+                    if size == 2:
+                        k11_edges.append(core)
+                    else:
+                        shapes_ok = shapes_ok and degree[center] == size - 1
+                elif size == 5 and core_degrees == [2] * 5:
+                    high = tuple(v for v in core if degree[v] >= 3)
+                    kinds.append(FiveCycleCore(vertices=core, high_degree=high))
+                    core_tags.add(CaseTag.CASE_4A)
+                    shapes_ok = shapes_ok and (
+                        len(high) < 2 or (len(high) == 2 and high[1] not in adjacency[high[0]])
+                    )
+                else:
+                    kinds.append(OtherCore(core, "neither a star, a 5-cycle, nor a vertex"))
+                    shapes_ok = False
+            if shapes_ok:
+                verdict = member
+                tag = core_tags.pop() if len(core_tags) == 1 else CaseTag.MIXED_4
+            else:
+                verdict, tag = Verdict.NOT_MEMBER, CaseTag.NEG_CORE_SHAPE
+        reports.append(ComponentReport(verts, verdict, structural, tag, tuple(kinds)))
     gg = Girth(min(finite_girths, default=None))
     fallback = any(r.route is Route.ORACLE_FALLBACK for r in reports)
     route = Route.ORACLE_FALLBACK if fallback else Route.STRUCTURAL_GIRTH5
@@ -281,13 +277,12 @@ def classify(g: Graph, cap: int = DEFAULT_CAP) -> Classification:
         )
     tags = {r.tag for r in reports}
     case_tag = tags.pop() if len(tags) == 1 else CaseTag.MIXED_4 if tags else None
-    for kind in (kind for r in reports for kind in r.core_kinds):
-        if isinstance(kind, StarCore) and kind.m == 1:
-            # a factor covers a K_{1,1} core edge either by that edge or by
-            # one stem edge at each end, so it weighs 2; its center is its
-            # smaller vertex.  g.edges is sorted, so a bisection finds the
-            # edge's index without building g.edge_index.
-            weights[bisect_left(g.edges, (kind.center, kind.leaves[0]))] = TWO
+    for edge in k11_edges:
+        # a factor covers a K_{1,1} core edge either by that edge or by
+        # one stem edge at each end, so it weighs 2.  g.edges is sorted,
+        # so a bisection finds the edge's index without building
+        # g.edge_index.
+        weights[bisect_left(g.edges, edge)] = TWO
     witness = Weighting(tuple(weights))
     return Classification(Verdict.MEMBER, route, case_tag, gg, witness, None, tuple(reports))
 
@@ -307,19 +302,14 @@ def classification_to_json(g: Graph, cls: Classification) -> dict:
     refutation is in the refuted component's own indices (``classify``)."""
     components = []
     for report in cls.per_component:
+        tag = report.tag.value if report.tag else None
         if report.route is Route.ORACLE_FALLBACK:
             kind = "OracleFallback"
         elif report.core_kinds:
             kind = "+".join(_kind_str(k) for k in report.core_kinds)
         else:
-            kind = report.tag.value if report.tag else "EmptyCore"
-        components.append(
-            {
-                "vertices": list(report.vertices),
-                "kind": kind,
-                "tag": report.tag.value if report.tag else None,
-            }
-        )
+            kind = tag or "EmptyCore"
+        components.append({"vertices": list(report.vertices), "kind": kind, "tag": tag})
     refutation = None
     if cls.refutation is not None:
         refutation = {"certificate": certificate_json(cls.refutation)}

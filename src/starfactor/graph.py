@@ -377,16 +377,17 @@ def induced_components(
         if start in seen or start in excluded:
             continue
         seen.add(start)
-        stack = [start]
-        comp = [start]
-        while stack:
-            for v in adjacency[stack.pop()]:
-                if v not in seen and v not in excluded:
+        component = [start]
+        # the list is its own queue, and a vertex is marked when first
+        # met, so ``excluded`` is asked once about each
+        for u in component:
+            for v in adjacency[u]:
+                if v not in seen:
                     seen.add(v)
-                    comp.append(v)
-                    stack.append(v)
-        comp.sort()
-        components.append(tuple(comp))
+                    if v not in excluded:
+                        component.append(v)
+        component.sort()
+        components.append(tuple(component))
     return components
 
 

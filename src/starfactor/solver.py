@@ -101,8 +101,9 @@ class Weighting:
     @property
     def integral(self) -> tuple[int, ...]:
         """The same weighting scaled by the LCM of denominators to integers."""
-        scale = math.lcm(*(w.denominator for w in self.weights))
-        return tuple(w.numerator * (scale // w.denominator) for w in self.weights)
+        ratios = [w.as_integer_ratio() for w in self.weights]
+        scale = math.lcm(*{d for _, d in ratios})
+        return tuple([p * (scale // d) for p, d in ratios])
 
     @classmethod
     def constant(cls, m: int) -> "Weighting":
@@ -408,6 +409,9 @@ def _blocks(rows: list[list[int]], pivots: list[int]) -> list[tuple[list[int], l
     blocks come in the order of their lowest pivot column.
     """
     r = len(rows)
+    if r == 1:
+        # one row is one block, over its nonzero columns
+        return [([0], list(compress(range(len(rows[0])), rows[0])))]
     adjacency: dict[int, list[int]] = {}
     for j, row in enumerate(rows):
         adjacency[j] = [r + e for e in compress(range(len(row)), row)]

@@ -159,6 +159,22 @@ def test_double_star_blocks():
     assert check(g, masks) == 3
 
 
+def test_one_row_basis_is_one_block():
+    # a basis of one row is its own block over the row's nonzero columns,
+    # found without the row-column search
+    assert solver._blocks([[1, 0, -2, 0, 1]], [0]) == [([0], [0, 2, 4])]
+    classes = _connected_classes(7, None)
+    one_row = 0
+    for g in (g for n in range(2, 8) for g, _ in classes[n]):
+        masks = enumerate_star_factors(g)
+        rows, pivots, _ = _basis(masks, g.m)
+        if len(rows) == 1 and _needs_lp(masks, rows):
+            assert solver._blocks(rows, pivots) == reference_blocks(rows, pivots), g.edges
+            one_row += 1
+    # the paw (a triangle with a pendant edge) is one of them, with B = [[0, 1, -1, -1]]
+    assert one_row == 11
+
+
 def test_certificate_from_any_block():
     # "ErY?" is a six-vertex graph whose refutation needs LP2 on its one
     # block; beside the double star's three member blocks, LP2 runs on the
