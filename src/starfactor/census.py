@@ -4,19 +4,24 @@ The built-in census covers every connected labeled graph on up to seven
 vertices.  Membership, girth and uniformity do not depend on the
 labeling, so it decides one graph per isomorphism class (grown vertex by
 vertex, merged by ``graph.canonical_rows``) and counts it n!/|Aut G|
-times: the report is the labeled one.  Larger graphs come in as graph6
-lines, each decided as given.  For every graph of girth at least five
-both the structural classifier and the brute-force oracle run and any
-verdict mismatch is logged, once per labeled copy; graphs of smaller
-girth are decided by the oracle alone and only counted.
+times: the report is the labeled one.  Under a girth filter k >= 4 a
+class grows only by admissible neighbour sets, whose members lie at
+pairwise distance >= k - 2, which are exactly the sets that keep girth
+>= k.  Larger graphs come in as graph6 lines, each decided as given.
+For every graph of girth at least five both the structural classifier
+and the brute-force oracle run and any verdict mismatch is logged, once
+per labeled copy; graphs of smaller girth are decided by the oracle
+alone and only counted.
 
 ``generate_connected`` and ``generate_connected_girth5`` list the
 labeled graphs themselves by expanding the same classes into every
-labeled copy, ordered by ``_enumeration_key`` (as a disagreeing class's
-copies are): the connected graphs by increasing edge mask (bit i for the
-i-th pair (u, v), u < v, in lexicographic order), the girth >= 5 graphs
-by increasing mask read with its bits reversed, so that edge slot 0
-varies slowest.
+labeled copy (as a disagreeing class's copies are): the orbit of the
+class's edge mask under two generators of S_n, met once each by a
+breadth-first search.  The masks are laid out so that plain increasing
+order is the list's order: the connected graphs with edge slot i (the
+i-th pair (u, v), u < v, in lexicographic order) at bit i, the girth >= 5
+graphs with slot i at bit M - 1 - i of M slots, so that slot 0 varies
+slowest.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -76,18 +82,23 @@ class CensusResult:
     disagreements: list[Disagreement] = field(default_factory=list)
 
 
-# _REVERSED_BYTES[b] is the byte b with its eight bits in reverse order
-_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
 @functools.cache
 def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
-def _graph_from_mask(n: int, mask: int) -> Graph:
+def _reversed_layout(girth_min: int | None) -> bool:
+    """Whether the edge masks for ``girth_min`` put slot i (the i-th pair
+    (u, v), u < v) at bit M - 1 - i of the M slots rather than at bit i:
+    increasing masks are then the girth >= 5 lists' order, in which slot
+    0 varies slowest."""
+    return girth_min is not None and girth_min >= 5
+
+
+def _graph_from_mask(n: int, mask: int, girth_min: int | None) -> Graph:
     pairs = _pairs(n)
-    return Graph(n, tuple(itertools.compress(pairs, mask_bits(mask, len(pairs)))))
+    bits = mask_bits(mask, len(pairs))
+    return Graph(n, tuple(itertools.compress(pairs, bits[::-1] if _reversed_layout(girth_min) else bits)))
 
 
 def generate_connected(n: int) -> Iterator[Graph]:
@@ -108,9 +119,9 @@ def generate_connected_girth5(n: int) -> Iterator[Graph]:
 def _labeled_graphs(n: int, girth_min: int | None) -> Iterator[Graph]:
     """Every labeled copy of the classes ``_connected_classes`` keeps on
     n vertices, in the labeled enumeration's order."""
-    masks = [mask for g, _ in _connected_classes(n, girth_min)[n] for mask in _labeled_masks(g)]
-    masks.sort(key=lambda mask: _enumeration_key(n, mask, girth_min))
-    return (_graph_from_mask(n, mask) for mask in masks)
+    masks = _labeled_masks([g for g, _ in _connected_classes(n, girth_min)[n]], n, girth_min)
+    masks.sort()
+    return (_graph_from_mask(n, mask, girth_min) for mask in masks)
 
 
 def _girth_class(gg: Girth) -> str:
@@ -172,49 +183,91 @@ def _connected_classes(n_max: int, girth_min: int | None) -> dict[int, list[tupl
     Every connected graph keeps connected when a leaf of a spanning tree
     is removed, and girth >= k holds for every induced subgraph, so each
     kept class on n vertices arises from a kept class on n - 1 vertices
-    by adding a vertex joined to a nonempty subset; the canonical form
-    merges the copies that arise more than once.
+    by adding a vertex joined to a nonempty subset S; the canonical form
+    merges the copies that arise more than once.  Every cycle through the
+    new vertex runs through two members u, w of S and is at least
+    d(u, w) + 2 long, so for k >= 4 the new graph keeps girth >= k
+    exactly when no two members of S lie within distance k - 3 of each
+    other: only those subsets are grown, in the same increasing order.
+    Every simple graph has girth >= 3, so smaller k grow every subset.
     """
+    radius = girth_min - 3 if girth_min is not None and girth_min >= 4 else 0
     level = [(0,)]
     classes = {0: [(Graph(0, ()), 1)], 1: [(Graph(1, ()), 1)]}
     for n in range(2, n_max + 1):
         found: dict[tuple[int, ...], int] = {}
         for rows in level:
+            near = _near(rows, radius)
+            # admissible[S]: no two members of S are near; S extends S
+            # less its lowest member v, which must be near no other member
+            admissible = bytearray(1 << (n - 1))
+            admissible[0] = 1
             for subset in range(1, 1 << (n - 1)):
+                low = subset & -subset
+                if not admissible[subset ^ low] or near[low.bit_length() - 1] & subset:
+                    continue
+                admissible[subset] = 1
                 grown = [r | (subset >> v & 1) << (n - 1) for v, r in enumerate(rows)]
                 form, automorphisms = canonical_rows([*grown, subset])
                 found.setdefault(form, automorphisms)
-        classes[n] = []
-        level = []
-        for form, automorphisms in found.items():
-            g = graph_from_rows(form)
-            if girth_min is None or girth(g).at_least(girth_min):
-                classes[n].append((g, math.factorial(n) // automorphisms))
-                level.append(form)
+        classes[n] = [
+            (graph_from_rows(form), math.factorial(n) // automorphisms) for form, automorphisms in found.items()
+        ]
+        level = list(found)
     return classes
 
 
-def _labeled_masks(g: Graph) -> set[int]:
-    """Edge masks of every labeled copy of g; ``bit[u][v]`` is the bit of
-    edge slot uv."""
-    bit = [[0] * g.n for _ in range(g.n)]
-    for i, (u, v) in enumerate(_pairs(g.n)):
-        bit[u][v] = bit[v][u] = 1 << i
-    return {sum([bit[p[u]][p[v]] for u, v in g.edges]) for p in itertools.permutations(range(g.n))}
+def _near(rows: tuple[int, ...], radius: int) -> list[int]:
+    """Per vertex of the graph with neighbor bitmasks ``rows``, the
+    bitmask of the other vertices within distance ``radius``: ``radius``
+    rounds of a bitmask BFS, each widening every ball by its neighbors'."""
+    neighbors = [[w for w in range(len(rows)) if row >> w & 1] for row in rows]
+    balls = [1 << v for v in range(len(rows))]
+    for _ in range(radius):
+        balls = [
+            functools.reduce(operator.or_, [balls[w] for w in around], ball) for ball, around in zip(balls, neighbors)
+        ]
+    return [ball ^ 1 << v for v, ball in enumerate(balls)]
 
 
-def _enumeration_key(n: int, mask: int, girth_min: int | None) -> int:
-    """Sort key of the labeled enumeration's order: increasing masks, or,
-    under girth_min >= 5, increasing masks with their bits reversed, the
-    order of an edge-slot search that leaves slot i out before it puts
-    it in, so that the lowest slot varies slowest."""
-    if girth_min is None or girth_min < 5:
-        return mask
-    # reversing the bytes and each byte's bits reverses all 8k bits, and
-    # the shift drops the 8k - |pairs| zeros that were above the top slot
-    size = (len(_pairs(n)) + 7) // 8
-    reversed_mask = int.from_bytes(mask.to_bytes(size, "little").translate(_REVERSED_BYTES), "big")
-    return reversed_mask >> 8 * size - len(_pairs(n))
+def _labeled_masks(graphs: Iterable[Graph], n: int, girth_min: int | None) -> list[int]:
+    """Edge masks, in the ``_reversed_layout`` for ``girth_min`` or not,
+    of every labeled copy of each graph on n <= 8 vertices.
+
+    A graph's copies are the orbit of its mask under S_n, which the
+    transposition (0 1) and the n-cycle v -> v + 1 mod n generate.  Each
+    generator permutes the mask's bits through one lookup table per byte,
+    four bytes for the at most 28 slots, and a breadth-first search meets
+    each copy once.  With n <= 1 there is no slot to move, and the orbit
+    is the mask itself.
+    """
+    # the pairs in bit order, so that images[b] is where bit b goes
+    by_bit = _pairs(n)[::-1] if _reversed_layout(girth_min) else _pairs(n)
+    slot = {pair: 1 << b for b, pair in enumerate(by_bit)}
+    tables = []
+    for p in ((1, 0, *range(2, n)), (*range(1, n), 0)):
+        images = [slot[min(p[u], p[v]), max(p[u], p[v])] for u, v in by_bit]
+        for start in range(0, 32, 8):
+            # table[b] is the image of byte b: each image bit doubles it
+            table = [0]
+            for image in images[start:start + 8]:
+                table += [t | image for t in table]
+            tables.append(table)
+    a0, a1, a2, a3, b0, b1, b2, b3 = tables
+    masks = []
+    for g in graphs:
+        start = sum([slot[e] for e in g.edges])
+        seen = {start}
+        orbit = [start]
+        # the loop meets the masks it appends, so each copy is expanded once
+        for mask in orbit:
+            x, y, z, w = mask & 255, mask >> 8 & 255, mask >> 16 & 255, mask >> 24
+            for image in (a0[x] | a1[y] | a2[z] | a3[w], b0[x] | b1[y] | b2[z] | b3[w]):
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+        masks += orbit
+    return masks
 
 
 def _worker(item: tuple[int, Graph, int] | str, cap: int, girth_min: int | None) -> _Record | None:
@@ -269,7 +322,8 @@ def _accumulate(
     """Rows and disagreements of the labeled census: a class counts once
     per labeled copy, and a disagreeing class lists every copy, ordered
     as the labeled enumeration would meet them (by n's place in ``ns``,
-    then ``_enumeration_key``), before the graph6 lines."""
+    then by mask in the ``_reversed_layout`` or not), before the graph6
+    lines."""
     table: dict[tuple[int, str], CensusRow] = {}
     labeled: list[tuple[int, int, Disagreement]] = []
     external: list[Disagreement] = []
@@ -293,9 +347,9 @@ def _accumulate(
             external.append(d)
             continue
         place, g, _ = item
-        for mask in _labeled_masks(g):
-            copy = Disagreement(to_graph6(_graph_from_mask(g.n, mask)), d.oracle_verdict, d.classifier_verdict)
-            labeled.append((place, _enumeration_key(g.n, mask, girth_min), copy))
+        for mask in _labeled_masks([g], g.n, girth_min):
+            graph6 = to_graph6(_graph_from_mask(g.n, mask, girth_min))
+            labeled.append((place, mask, Disagreement(graph6, d.oracle_verdict, d.classifier_verdict)))
     order = {c: i for i, c in enumerate(GIRTH_CLASSES)}
     rows = sorted(table.values(), key=lambda r: (r.n, order[r.girth_class]))
     labeled.sort(key=lambda entry: entry[:2])

@@ -26,19 +26,20 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starfactor import solver
 from starfactor.census import generate_connected
-from starfactor.factors import CapExceeded, IncidenceVector, VacuousGraph, enumerate_star_factors, incidence_vectors
+from starfactor.factors import IncidenceVector, enumerate_star_factors, incidence_vectors
+from starfactor.graph import Graph
 from starfactor.solver import ZERO, Refutation, _refutation
 
 from conftest import reference_reduce_rows
-from test_enumerator_equivalence import any_graphs
 
 
 def reference_refutation(
@@ -139,19 +140,46 @@ def combination(vectors, coeffs) -> tuple[Fraction, ...]:
     )
 
 
+@st.composite
+def graphs_with_two_factors(draw, max_n=7):
+    """Graphs on 3..max_n vertices with no isolated vertex and at least
+    two star-factors, by construction.  Each pair is an edge when its draw
+    from 0..9 is below the density; each isolated vertex is then joined to
+    a drawn vertex, and the missing pairs are added in a drawn order until
+    there are two factors, which K_n has for n >= 3.  No graph on seven
+    vertices has more star-factors than K7's 847."""
+    n = draw(st.integers(min_value=3, max_value=max_n))
+    pairs = list(combinations(range(n), 2))
+    density = draw(st.integers(min_value=0, max_value=10))
+    draws = draw(st.lists(st.integers(min_value=0, max_value=9), min_size=len(pairs), max_size=len(pairs)))
+    edges = {pair for pair, x in zip(pairs, draws) if x < density}
+    for v in range(n):
+        if not any(v in e for e in edges):
+            w = draw(st.integers(min_value=0, max_value=n - 2))
+            w += w >= v
+            edges.add((min(v, w), max(v, w)))
+    missing = draw(st.permutations([pair for pair in pairs if pair not in edges]))
+    g = Graph.from_edges(n, edges)
+    for pair in missing:
+        if len(enumerate_star_factors(g)) >= 2:
+            break
+        g = Graph.from_edges(n, [*g.edges, pair])
+    return g
+
+
 @settings(max_examples=150, deadline=None)
-@given(any_graphs(max_n=7), st.data())
+@given(graphs_with_two_factors(), st.data())
 def test_random_basis_and_rational_y(g, data):
-    try:
-        masks = enumerate_star_factors(g, cap=1000)
-    except (VacuousGraph, CapExceeded):
-        assume(False)
+    masks = enumerate_star_factors(g, cap=1000)
     vectors = incidence_vectors(masks, g.m)
     rows, pivots, used = reference_reduce_rows([[a - b for a, b in zip(v, vectors[0])] for v in vectors[1:]])
-    assume(rows)
+    # two distinct factors make a nonzero row of D
+    assert rows
+    # y is drawn with one nonzero entry at a drawn place
     y = st.fractions(min_value=-3, max_value=3, max_denominator=6)
     ys = data.draw(st.lists(y, min_size=len(rows), max_size=len(rows)))
-    assume(any(ys))
+    nonzero = st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6)
+    ys[data.draw(st.integers(min_value=0, max_value=len(rows) - 1))] = data.draw(nonzero) * data.draw(st.sampled_from([1, -1]))
     got = _refutation(masks, ys, rows, pivots, used)
     expected = reference_refutation(vectors, ys, rows, pivots, used)
     assert got.forced_zero == expected.forced_zero
