@@ -5,22 +5,23 @@ For connected graphs with no cycle shorter than five, membership is
 decided structurally: delete all leaves (degree-1 vertices) and stems
 (their neighbors) and look at what is left.  The graph is a member
 exactly when it is a 5- or 7-cycle, or everything was leaf-or-stem, or
-every remaining "core" component is one of three allowed shapes.  The
-classifier also builds the witness weighting explicitly: weight 1
+every remaining "core" component is one of three allowed shapes.  Each
+component's report names what the classifier saw there: its core shapes
+joined by "+", or its case when no core is left beside leaves and stems.
+The classifier also builds the witness weighting explicitly: weight 1
 everywhere, weight 2 on each core single-edge component.
 """
 
-from starfactor import classify, classify_vertices, omega_oracle
+from starfactor import classify, omega_oracle
 from starfactor.graph import Graph
 
 
 def show(name, g):
-    vc = classify_vertices(g)
-    core_orig = sorted(set(range(g.n)) - vc.leaves - vc.stems)
     cls = classify(g)
     oracle = omega_oracle(g)
     print(f"--- {name} ---")
-    print(f"core vertices (after deleting leaves and stems): {core_orig}")
+    for report in cls.per_component:
+        print(f"component {list(report.vertices)}: {report.kind}")
     tag = cls.case_tag.value if cls.case_tag else "-"
     print(f"classifier: {cls.verdict.value} via {cls.route.value} [{tag}]")
     print(f"oracle:     {oracle.verdict.value}  (they must agree)")

@@ -12,8 +12,6 @@ from .graph import (
     Girth,
     Graph,
     GraphError,
-    VertexClass,
-    classify_vertices,
     connected_components,
     girth,
     parse_edge_list,
@@ -58,8 +56,6 @@ __all__ = [
     "Girth",
     "Graph",
     "GraphError",
-    "VertexClass",
-    "classify_vertices",
     "connected_components",
     "girth",
     "parse_edge_list",

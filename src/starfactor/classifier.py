@@ -15,7 +15,9 @@ stems (their neighbors) in one bytearray; a component is a tree by its
 degree sum, and only a component with a cycle is searched for its girth.
 One search over the unmarked vertices finds every core component, and
 each graph component takes its own cores from that search in order.  It
-builds a subgraph only for a component that goes to the oracle.
+builds a subgraph only for a component that goes to the oracle.  Each
+component's report holds the kind string that the JSON report prints:
+its core shapes, its tag, or "OracleFallback".
 """
 
 from __future__ import annotations
@@ -66,47 +68,15 @@ class CaseTag(enum.Enum):
 
 
 @dataclass(frozen=True)
-class FiveCycleCore:
-    """Core 5-cycle; high_degree lists its vertices of original degree >= 3."""
-
-    vertices: tuple[int, ...]
-    high_degree: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class StarCore:
-    center: int
-    leaves: tuple[int, ...]
-    center_degree: int  # degree of the center in the original graph
-
-    @property
-    def m(self) -> int:
-        return len(self.leaves)
-
-
-@dataclass(frozen=True)
-class IsolatedVertexCore:
-    vertex: int
-
-
-@dataclass(frozen=True)
-class OtherCore:
-    vertices: tuple[int, ...]
-    reason: str
-
-
-CoreComponentKind = FiveCycleCore | StarCore | IsolatedVertexCore | OtherCore
-
-
-@dataclass(frozen=True)
 class ComponentReport:
-    """Per connected component: its vertices, verdict, tag and core shapes."""
+    """Per connected component: its vertices, verdict, tag, and the kind
+    that the JSON report prints: "OracleFallback", its core shapes joined
+    by "+" in core order, or else its tag's value."""
 
     vertices: tuple[int, ...]
     verdict: Verdict
-    route: Route
     tag: CaseTag | None
-    core_kinds: tuple[CoreComponentKind, ...] = ()
+    kind: str
 
 
 @dataclass(frozen=True)
@@ -154,13 +124,8 @@ def _fallback_report(
     if result.witness is not None:
         for pair, w in zip(pairs, result.witness.weighting.weights):
             weights[bisect_left(g.edges, pair)] = w
-    report = ComponentReport(
-        vertices=verts,
-        verdict=result.verdict,
-        route=Route.ORACLE_FALLBACK,
-        tag=CaseTag.REFUTED if result.verdict is Verdict.NOT_MEMBER else None,
-    )
-    return report, result.refutation
+    tag = CaseTag.REFUTED if result.verdict is Verdict.NOT_MEMBER else None
+    return ComponentReport(verts, result.verdict, tag, "OracleFallback"), result.refutation
 
 
 def classify(g: Graph, cap: int = DEFAULT_CAP) -> Classification:
@@ -194,12 +159,12 @@ def classify(g: Graph, cap: int = DEFAULT_CAP) -> Classification:
     starts = [v for verts in components for v in verts if not outer[v]]
     cores = iter(induced_components(adjacency, starts, frozenset(compress(range(n), outer))))
     is_outer, degree_of = outer.__getitem__, degree.__getitem__
-    member, structural = Verdict.MEMBER, Route.STRUCTURAL_GIRTH5
     weights = [ONE] * g.m
     reports: list[ComponentReport] = []
     refutation: Refutation | None = None
     finite_girths: list[int] = []
     k11_edges: list[tuple[int, int]] = []
+    fallback = False
     for verts in components:
         core_count = len(verts) - sum(map(is_outer, verts))
         found = []
@@ -218,15 +183,16 @@ def classify(g: Graph, cap: int = DEFAULT_CAP) -> Classification:
                 if refutation is None:
                     refutation = refuted
                 reports.append(report)
+                fallback = True
                 continue
-        kinds: list[CoreComponentKind] = []
+        shapes: list[str] = []
         if not found:
-            verdict, tag = member, CaseTag.ALL_LEAF_OR_STEM
+            verdict, tag = Verdict.MEMBER, CaseTag.ALL_LEAF_OR_STEM
         elif len(found[0]) == len(verts):
             # no leaf, so minimum degree >= 2: members are exactly the
             # 5-cycle and the 7-cycle
             if len(verts) in (5, 7) and all(degree[v] == 2 for v in verts):
-                verdict, tag = member, CaseTag.C5 if len(verts) == 5 else CaseTag.C7
+                verdict, tag = Verdict.MEMBER, CaseTag.C5 if len(verts) == 5 else CaseTag.C7
             else:
                 verdict, tag = Verdict.NOT_MEMBER, CaseTag.NEG_DELTA2_GIRTH
         else:
@@ -235,40 +201,38 @@ def classify(g: Graph, cap: int = DEFAULT_CAP) -> Classification:
             for core in found:
                 size = len(core)
                 if size == 1:
-                    kinds.append(IsolatedVertexCore(vertex=core[0]))
+                    shapes.append("IsolatedVertex")
                     core_tags.add(CaseTag.CASE_4C)
                     continue
                 # a core vertex's core neighbors are its unmarked neighbors
                 core_degrees = [degree[v] - sum(map(is_outer, adjacency[v])) for v in core]
                 if sum(core_degrees) == 2 * (size - 1) and size - 1 in core_degrees:
                     # a tree with a vertex adjacent to all the others is a
-                    # star; of a K_{1,1}, the center is the smaller vertex
-                    c = core_degrees.index(size - 1)
-                    center = core[c]
-                    kinds.append(StarCore(center, core[:c] + core[c + 1:], degree[center]))
+                    # star, centered there when it has two leaves or more
+                    shapes.append(f"Star(m={size - 1})")
                     core_tags.add(CaseTag.CASE_4B)
                     if size == 2:
                         k11_edges.append(core)
                     else:
+                        center = core[core_degrees.index(size - 1)]
                         shapes_ok = shapes_ok and degree[center] == size - 1
                 elif size == 5 and core_degrees == [2] * 5:
                     high = tuple(v for v in core if degree[v] >= 3)
-                    kinds.append(FiveCycleCore(vertices=core, high_degree=high))
+                    shapes.append("FiveCycle")
                     core_tags.add(CaseTag.CASE_4A)
                     shapes_ok = shapes_ok and (
                         len(high) < 2 or (len(high) == 2 and high[1] not in adjacency[high[0]])
                     )
                 else:
-                    kinds.append(OtherCore(core, "neither a star, a 5-cycle, nor a vertex"))
+                    shapes.append("Other(neither a star, a 5-cycle, nor a vertex)")
                     shapes_ok = False
             if shapes_ok:
-                verdict = member
+                verdict = Verdict.MEMBER
                 tag = core_tags.pop() if len(core_tags) == 1 else CaseTag.MIXED_4
             else:
                 verdict, tag = Verdict.NOT_MEMBER, CaseTag.NEG_CORE_SHAPE
-        reports.append(ComponentReport(verts, verdict, structural, tag, tuple(kinds)))
+        reports.append(ComponentReport(verts, verdict, tag, "+".join(shapes) or tag.value))
     gg = Girth(min(finite_girths, default=None))
-    fallback = any(r.route is Route.ORACLE_FALLBACK for r in reports)
     route = Route.ORACLE_FALLBACK if fallback else Route.STRUCTURAL_GIRTH5
     failing = next((r for r in reports if r.verdict is Verdict.NOT_MEMBER), None)
     if failing is not None:
@@ -287,29 +251,13 @@ def classify(g: Graph, cap: int = DEFAULT_CAP) -> Classification:
     return Classification(Verdict.MEMBER, route, case_tag, gg, witness, None, tuple(reports))
 
 
-def _kind_str(kind: CoreComponentKind) -> str:
-    if isinstance(kind, FiveCycleCore):
-        return "FiveCycle"
-    if isinstance(kind, StarCore):
-        return f"Star(m={kind.m})"
-    if isinstance(kind, IsolatedVertexCore):
-        return "IsolatedVertex"
-    return f"Other({kind.reason})"
-
-
 def classification_to_json(g: Graph, cls: Classification) -> dict:
     """The classifier's report object with fixed field names; its
     refutation is in the refuted component's own indices (``classify``)."""
-    components = []
-    for report in cls.per_component:
-        tag = report.tag.value if report.tag else None
-        if report.route is Route.ORACLE_FALLBACK:
-            kind = "OracleFallback"
-        elif report.core_kinds:
-            kind = "+".join(_kind_str(k) for k in report.core_kinds)
-        else:
-            kind = tag or "EmptyCore"
-        components.append({"vertices": list(report.vertices), "kind": kind, "tag": tag})
+    components = [
+        {"vertices": list(r.vertices), "kind": r.kind, "tag": r.tag.value if r.tag else None}
+        for r in cls.per_component
+    ]
     refutation = None
     if cls.refutation is not None:
         refutation = {"certificate": certificate_json(cls.refutation)}

@@ -58,21 +58,36 @@ def _default_cap() -> int:
     return DEFAULT_CAP
 
 
+def _non_ascii(source: str, exc: UnicodeDecodeError) -> CliError:
+    byte = exc.object[exc.start]
+    return CliError(f"cannot read {source}: non-ASCII byte 0x{byte:02x} at offset {exc.start}")
+
+
 def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="ascii") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        byte = exc.object[exc.start]
-        raise CliError(
-            f"cannot read {path}: non-ASCII byte 0x{byte:02x} at offset {exc.start}"
-        ) from exc
+        raise _non_ascii(path, exc) from exc
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
+def _read_stdin(stdin: TextIO) -> str:
+    """All of stdin, held to ASCII as a file is.  Strict UTF-8 fails in
+    ``read``; surrogateescape (the POSIX locale) keeps a bad byte as a
+    lone surrogate, which encodes back to that byte."""
+    try:
+        text = stdin.read()
+        if not text.isascii():
+            text.encode("utf-8", "surrogateescape").decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise _non_ascii("stdin", exc) from exc
+    return text
+
+
 def _load_graph(path: str, fmt: str | None, stdin: TextIO) -> Graph:
-    text = stdin.read() if path == "-" else _read_file(path)
+    text = _read_stdin(stdin) if path == "-" else _read_file(path)
     if fmt is None:
         fmt = "graph6" if path.endswith((".g6", ".graph6")) else "edgelist"
     if fmt == "graph6":

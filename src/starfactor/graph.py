@@ -57,18 +57,6 @@ class Girth:
 
 
 @dataclass(frozen=True)
-class VertexClass:
-    """Leaves (degree one) and stems (vertices with a degree-one neighbor).
-
-    In a K_{1,1} component both endpoints satisfy both definitions and are
-    recorded in both sets; callers that need "leaf or stem" take the union.
-    """
-
-    leaves: frozenset[int]
-    stems: frozenset[int]
-
-
-@dataclass(frozen=True)
 class Graph:
     """A finite simple undirected graph with a canonical edge order."""
 
@@ -350,15 +338,6 @@ def shortest_cycle(adjacency: Adjacency, component: Sequence[int]) -> int | None
                     # or a cross edge) is counted from its other end
                     best = du + dv + 1
     return best
-
-
-def classify_vertices(g: Graph) -> VertexClass:
-    """Leaves and stems of g (see VertexClass for the K_{1,1} convention)."""
-    adjacency = g.adjacency
-    leaves = [v for v, ns in enumerate(adjacency) if len(ns) == 1]
-    return VertexClass(
-        leaves=frozenset(leaves), stems=frozenset(adjacency[v][0] for v in leaves)
-    )
 
 
 def induced_components(

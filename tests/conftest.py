@@ -11,8 +11,9 @@ over edge masks replaced; the references that reduce rows use it.
 programs over a list of reduced basis rows, and ``reference_block_lps``
 runs them one block of the basis at a time, with the blocks found by a
 breadth-first search over shared columns instead of the library's
-component search on the rows and columns.  ``time_limit`` bounds a
-test's wall time.
+component search on the rows and columns.  ``leaves_and_stems`` is
+the leaf-and-stem split that the classifier's references start from.
+``time_limit`` bounds a test's wall time.
 """
 
 from __future__ import annotations
@@ -176,6 +177,13 @@ def gadget_graphs() -> dict[str, tuple[Graph, bool]]:
 
 
 # ------------------------------------------------------ brute-force checks
+
+def leaves_and_stems(g: Graph) -> tuple[frozenset[int], frozenset[int]]:
+    """The leaves (degree one) and the stems (their neighbors) of g.  Both
+    ends of a K_{1,1} component are in both sets."""
+    leaves = frozenset(v for v, ns in enumerate(g.adjacency) if len(ns) == 1)
+    return leaves, frozenset(g.adjacency[v][0] for v in leaves)
+
 
 def is_star_factor_edge_set(g: Graph, subset: tuple[int, ...]) -> bool:
     """Degrees-only recognition: every vertex covered, and no edge has

@@ -18,7 +18,7 @@ from starfactor.factors import (
     enumerate_star_factors,
     incidence_vectors,
 )
-from starfactor.graph import Graph, classify_vertices, girth, parse_graph6
+from starfactor.graph import Graph, girth, parse_graph6
 from starfactor.solver import (
     Refutation,
     Verdict,
@@ -34,6 +34,7 @@ from conftest import (
     cycle,
     double_star_graph,
     heavy_edges,
+    leaves_and_stems,
     mask_edge_set,
     path,
     petersen,
@@ -254,8 +255,8 @@ def tree_corollary_member(g: Graph) -> bool:
     """Independent restatement for trees: member iff every core component
     is an isolated vertex, a single edge, or a star whose center keeps all
     its neighbors as core leaves."""
-    vc = classify_vertices(g)
-    core_verts = [v for v in range(g.n) if v not in vc.leaves and v not in vc.stems]
+    leaves, stems = leaves_and_stems(g)
+    core_verts = [v for v in range(g.n) if v not in leaves and v not in stems]
     if not core_verts:
         return True
     core_set = set(core_verts)

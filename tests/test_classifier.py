@@ -6,18 +6,15 @@ import pytest
 
 from starfactor.classifier import (
     CaseTag,
-    FiveCycleCore,
-    IsolatedVertexCore,
     Route,
-    StarCore,
     Verdict,
     classification_to_json,
     classify,
     classify_connected_girth5,
 )
 from starfactor.factors import enumerate_star_factors, incidence_vectors
-from starfactor.graph import Graph, classify_vertices
-from starfactor.solver import verify_outcome, Witness
+from starfactor.graph import Graph
+from starfactor.solver import omega_oracle, verify_outcome, Witness
 
 from conftest import (
     cycle,
@@ -25,6 +22,7 @@ from conftest import (
     double_star_graph,
     gadget_graphs,
     heavy_edges,
+    leaves_and_stems,
     path,
     petersen,
     spider,
@@ -42,8 +40,8 @@ def assert_witness_equalizes(g, weighting):
 
 def core_vertices(g):
     """The vertices left after deleting all leaves and stems."""
-    vc = classify_vertices(g)
-    return set(range(g.n)) - vc.leaves - vc.stems
+    leaves, stems = leaves_and_stems(g)
+    return set(range(g.n)) - leaves - stems
 
 
 class TestCoreExtraction:
@@ -92,26 +90,21 @@ class TestLeafStemAndCoreCases:
         cls = classify_connected_girth5(g)
         assert cls.verdict is Verdict.MEMBER
         assert cls.case_tag is CaseTag.CASE_4B
-        kinds = cls.per_component[0].core_kinds
-        assert len(kinds) == 1 and isinstance(kinds[0], StarCore)
-        assert kinds[0].m == 3 and kinds[0].center_degree == 3
+        assert cls.per_component[0].kind == "Star(m=3)"
         assert_witness_equalizes(g, cls.witness)
 
     def test_p5_isolated_core_vertex(self):
         cls = classify_connected_girth5(path(5))
         assert cls.verdict is Verdict.MEMBER
         assert cls.case_tag is CaseTag.CASE_4C
-        kinds = cls.per_component[0].core_kinds
-        assert len(kinds) == 1 and isinstance(kinds[0], IsolatedVertexCore)
+        assert cls.per_component[0].kind == "IsolatedVertex"
         assert_witness_equalizes(path(5), cls.witness)
 
     def test_p7_star_core(self):
         cls = classify_connected_girth5(path(7))
         assert cls.verdict is Verdict.MEMBER
         assert cls.case_tag is CaseTag.CASE_4B
-        kinds = cls.per_component[0].core_kinds
-        assert len(kinds) == 1 and isinstance(kinds[0], StarCore)
-        assert kinds[0].m == 2 and kinds[0].center_degree == 2
+        assert cls.per_component[0].kind == "Star(m=2)"
         assert_witness_equalizes(path(7), cls.witness)
 
     def test_p8_core_p4_rejected(self):
@@ -127,9 +120,7 @@ class TestLeafStemAndCoreCases:
         cls = classify_connected_girth5(g)
         assert cls.verdict is Verdict.MEMBER
         assert cls.case_tag is CaseTag.CASE_4A
-        kinds = cls.per_component[0].core_kinds
-        assert isinstance(kinds[0], FiveCycleCore)
-        assert kinds[0].high_degree == (0,)
+        assert cls.per_component[0].kind == "FiveCycle"
         assert_witness_equalizes(g, cls.witness)
 
     def test_five_cycle_core_two_adjacent_branches_rejected(self):
@@ -259,15 +250,54 @@ class TestFullClassify:
         cls = classify(disjoint_union(cycle(5), path(7)))
         assert cls.verdict is Verdict.MEMBER
         assert cls.per_component[1].vertices == tuple(range(5, 12))
-        assert cls.per_component[1].core_kinds == (
-            StarCore(center=8, leaves=(7, 9), center_degree=2),
-        )
+        assert cls.per_component[1].kind == "Star(m=2)"
 
     def test_component_reports_cover_vertices(self):
         g = disjoint_union(path(3), cycle(5))
         cls = classify(g)
         seen = sorted(v for r in cls.per_component for v in r.vertices)
         assert seen == list(range(g.n))
+
+
+class TestKindStrings:
+    """Each component report holds the kind string that the JSON report
+    prints: its core shapes joined by "+", its tag, or OracleFallback."""
+
+    def test_star_and_five_cycle_cores_join_in_core_order(self):
+        # the star core 1-0-2 (center 0 of degree 2) and the 5-cycle core
+        # 7..11 in one component, joined through the stem 3 (leaf 4); the
+        # stem 5 (leaf 6) hangs on the star's other core leaf
+        edges = [(0, 1), (0, 2), (1, 3), (3, 4), (2, 5), (5, 6), (3, 7),
+                 (7, 8), (8, 9), (9, 10), (10, 11), (7, 11)]
+        g = Graph.from_edges(12, edges)
+        cls = classify(g)
+        assert cls.verdict is Verdict.MEMBER is omega_oracle(g).verdict
+        assert cls.case_tag is CaseTag.MIXED_4
+        assert [r.kind for r in cls.per_component] == ["Star(m=2)+FiveCycle"]
+        # the same graph with the 5-cycle on the smallest ids: its core is
+        # met first
+        flipped = Graph.from_edges(12, [(11 - u, 11 - v) for u, v in edges])
+        assert [r.kind for r in classify(flipped).per_component] == ["FiveCycle+Star(m=2)"]
+        payload = classification_to_json(flipped, classify(flipped))
+        assert [c["kind"] for c in payload["components"]] == ["FiveCycle+Star(m=2)"]
+
+    def test_cycle_takes_its_tag_as_kind(self):
+        report, = classify(cycle(5)).per_component
+        assert (report.kind, report.tag) == ("C5", CaseTag.C5)
+
+    def test_oracle_component_beside_a_structural_one(self):
+        g = disjoint_union(cycle(3), path(3))
+        cls = classify(g)
+        assert cls.route is Route.ORACLE_FALLBACK
+        assert [(r.kind, r.tag) for r in cls.per_component] == [
+            ("OracleFallback", None),
+            ("AllLeafOrStem", CaseTag.ALL_LEAF_OR_STEM),
+        ]
+        payload = classification_to_json(g, cls)
+        assert payload["components"] == [
+            {"vertices": [0, 1, 2], "kind": "OracleFallback", "tag": None},
+            {"vertices": [3, 4, 5], "kind": "AllLeafOrStem", "tag": "AllLeafOrStem"},
+        ]
 
 
 class TestJsonReport:

@@ -4,13 +4,14 @@
 digests: one of ``json.dumps(classification_to_json(g, classify(g)),
 sort_keys=True)`` (verdict, route, case tag, girth, component kinds,
 witness weights and refutation certificate) and one of
-``repr(cls.per_component)`` (every component report with its core
-shapes).  Small inputs are keyed by graph6, large ones by name.  The
-inputs are every graph on at most five vertices, connected or not;
-random Prüfer trees on 500 and 1,000 vertices; a comb; a 1,050-edge
-matching; a random forest; a union of girth >= 5 graphs on five and six
-vertices; and unions that mix trees with girth-3 and girth-4 components,
-so that oracle-fallback witnesses and refutations are covered.
+``repr(cls.per_component)`` (every component report: its vertices,
+verdict, tag and the kind string the JSON prints).  Small inputs are
+keyed by graph6, large ones by name.  The inputs are every graph on at
+most five vertices, connected or not; random Prüfer trees on 500 and
+1,000 vertices; a comb; a 1,050-edge matching; a random forest; a union
+of girth >= 5 graphs on five and six vertices; and unions that mix trees
+with girth-3 and girth-4 components, so that oracle-fallback witnesses
+and refutations are covered.
 Regenerate it only for an intended output change, by running this file
 as a script from the repository root:
 

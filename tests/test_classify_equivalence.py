@@ -1,12 +1,14 @@
 """``classify`` in one pass against the per-component classifier it replaced.
 
 ``reference_classify`` below is the classifier as it was before: the
-leaves and stems as two frozensets (``classify_vertices``), and for each
-component its own structural report with its own core search.
-``classify`` reads the leaves and stems off one degree list and finds
-every core component in one search.  The two must give equal
-``Classification`` objects, down to ``per_component`` and the order of
-``core_kinds``, and the same ``classification_to_json`` bytes, on every
+leaves and stems as two frozensets (``conftest.leaves_and_stems``), and
+for each component its own structural report with its own core search,
+its own test of each core's shape and its own K_{1,1} core edges for the
+witness.  ``classify`` reads the leaves and stems off one degree list and
+finds every core component in one search.  The two must give equal
+``Classification`` objects, down to ``per_component`` and each report's
+kind string with its shapes in core order, and the same
+``classification_to_json`` bytes, on every
 connected class with n <= 7, the girth >= 5 graphs on 8 vertices,
 seeded random unions (relabeled, so that components interleave and some
 have girth < 5), trees and cycles with pendant leaves and paths hung on
@@ -25,11 +27,7 @@ from starfactor.classifier import (
     CaseTag,
     Classification,
     ComponentReport,
-    FiveCycleCore,
-    IsolatedVertexCore,
-    OtherCore,
     Route,
-    StarCore,
     _fallback_report,
     classification_to_json,
     classify,
@@ -38,7 +36,6 @@ from starfactor.factors import DEFAULT_CAP
 from starfactor.graph import (
     Girth,
     Graph,
-    classify_vertices,
     girth,
     induced_components,
     parse_graph6,
@@ -46,48 +43,33 @@ from starfactor.graph import (
 )
 from starfactor.solver import Verdict, Weighting
 
-from conftest import DATA_DIR, cycle, relabel
+from conftest import DATA_DIR, cycle, leaves_and_stems, relabel
 
 ONE, TWO = Fraction(1), Fraction(2)
 
 
-def _core_component_kind(g, verts, outer):
+def _core_shape(g, verts, outer):
+    """A core component's kind string, whether its shape is allowed, and
+    its case tag (None for a shape that is none of the three)."""
     if len(verts) == 1:
-        return IsolatedVertexCore(vertex=verts[0])
+        return "IsolatedVertex", True, CaseTag.CASE_4C
     degs = {v: sum(1 for u in g.adjacency[v] if u not in outer) for v in verts}
     if sum(degs.values()) == 2 * (len(verts) - 1):
         center = next((v for v in verts if degs[v] == len(verts) - 1), None)
         if center is not None:
-            return StarCore(
-                center=center,
-                leaves=tuple(v for v in verts if v != center),
-                center_degree=g.degree(center),
-            )
+            m = len(verts) - 1
+            return f"Star(m={m})", m == 1 or g.degree(center) == m, CaseTag.CASE_4B
     if len(verts) == 5 and all(degs[v] == 2 for v in verts):
-        high = tuple(v for v in verts if g.degree(v) >= 3)
-        return FiveCycleCore(vertices=verts, high_degree=high)
-    return OtherCore(vertices=verts, reason="neither a star, a 5-cycle, nor a vertex")
+        high = [v for v in verts if g.degree(v) >= 3]
+        ok = len(high) < 2 or (len(high) == 2 and high[1] not in g.adjacency[high[0]])
+        return "FiveCycle", ok, CaseTag.CASE_4A
+    return "Other(neither a star, a 5-cycle, nor a vertex)", False, None
 
 
-def _core_kind_ok(kind, g):
-    if isinstance(kind, StarCore):
-        return kind.m == 1 or kind.center_degree == kind.m
-    if isinstance(kind, FiveCycleCore):
-        high = kind.high_degree
-        return len(high) < 2 or (len(high) == 2 and high[1] not in g.adjacency[high[0]])
-    return isinstance(kind, IsolatedVertexCore)
-
-
-_CASE_TAGS = {
-    FiveCycleCore: CaseTag.CASE_4A,
-    StarCore: CaseTag.CASE_4B,
-    IsolatedVertexCore: CaseTag.CASE_4C,
-}
-
-
-def _structural_report(g, verts, leaves, outer):
-    def report(verdict, tag, kinds=()):
-        return ComponentReport(verts, verdict, Route.STRUCTURAL_GIRTH5, tag, tuple(kinds))
+def _structural_report(g, verts, leaves, outer, k11_edges):
+    """One component's report; its K_{1,1} core edges go on ``k11_edges``."""
+    def report(verdict, tag, kind=None):
+        return ComponentReport(verts, verdict, tag, kind or tag.value)
 
     if leaves.isdisjoint(verts):
         if len(verts) in (5, 7) and all(g.degree(v) == 2 for v in verts):
@@ -95,32 +77,33 @@ def _structural_report(g, verts, leaves, outer):
         return report(Verdict.NOT_MEMBER, CaseTag.NEG_DELTA2_GIRTH)
     if outer.issuperset(verts):
         return report(Verdict.MEMBER, CaseTag.ALL_LEAF_OR_STEM)
-    kinds = [
-        _core_component_kind(g, core, outer)
-        for core in induced_components(g.adjacency, verts, outer)
-    ]
-    if not all(_core_kind_ok(k, g) for k in kinds):
-        return report(Verdict.NOT_MEMBER, CaseTag.NEG_CORE_SHAPE, kinds)
-    tags = {_CASE_TAGS[type(kind)] for kind in kinds}
-    return report(Verdict.MEMBER, tags.pop() if len(tags) == 1 else CaseTag.MIXED_4, kinds)
+    cores = induced_components(g.adjacency, verts, outer)
+    shapes = [_core_shape(g, core, outer) for core in cores]
+    kind = "+".join(shape for shape, _, _ in shapes)
+    if not all(ok for _, ok, _ in shapes):
+        return report(Verdict.NOT_MEMBER, CaseTag.NEG_CORE_SHAPE, kind)
+    k11_edges += [core for core in cores if len(core) == 2]
+    tags = {tag for _, _, tag in shapes}
+    return report(Verdict.MEMBER, tags.pop() if len(tags) == 1 else CaseTag.MIXED_4, kind)
 
 
 def reference_classify(g: Graph, cap: int = DEFAULT_CAP) -> Classification:
     """The per-component classifier, one structural report per component."""
     if g.has_isolated_vertex():
         return Classification(Verdict.VACUOUS, Route.STRUCTURAL_GIRTH5, None, girth(g), None, None)
-    vc = classify_vertices(g)
-    outer = vc.leaves | vc.stems
+    leaves, stems = leaves_and_stems(g)
+    outer = leaves | stems
     weights = [ONE] * g.m
     reports = []
     refutation = None
     finite_girths = []
+    k11_edges = []
     for verts in induced_components(g.adjacency):
         cycle_length = shortest_cycle(g.adjacency, verts)
         if cycle_length is not None:
             finite_girths.append(cycle_length)
         if cycle_length is None or cycle_length >= 5:
-            report = _structural_report(g, verts, vc.leaves, outer)
+            report = _structural_report(g, verts, leaves, outer, k11_edges)
         else:
             report, refuted = _fallback_report(g, verts, cap, weights)
             if report.verdict is Verdict.CAP_EXCEEDED:
@@ -131,7 +114,7 @@ def reference_classify(g: Graph, cap: int = DEFAULT_CAP) -> Classification:
                 refutation = refuted
         reports.append(report)
     gg = Girth(min(finite_girths, default=None))
-    fallback = any(r.route is Route.ORACLE_FALLBACK for r in reports)
+    fallback = any(r.kind == "OracleFallback" for r in reports)
     route = Route.ORACLE_FALLBACK if fallback else Route.STRUCTURAL_GIRTH5
     failing = next((r for r in reports if r.verdict is Verdict.NOT_MEMBER), None)
     if failing is not None:
@@ -140,9 +123,8 @@ def reference_classify(g: Graph, cap: int = DEFAULT_CAP) -> Classification:
         )
     tags = {r.tag for r in reports}
     case_tag = tags.pop() if len(tags) == 1 else CaseTag.MIXED_4 if tags else None
-    for kind in (kind for r in reports for kind in r.core_kinds):
-        if isinstance(kind, StarCore) and kind.m == 1:
-            weights[bisect_left(g.edges, (kind.center, kind.leaves[0]))] = TWO
+    for edge in k11_edges:
+        weights[bisect_left(g.edges, edge)] = TWO
     witness = Weighting(tuple(weights))
     return Classification(Verdict.MEMBER, route, case_tag, gg, witness, None, tuple(reports))
 
@@ -268,11 +250,13 @@ def test_random_decorated_trees_and_cycles():
             g = union([g, _decorated(rng)])
         cls = check(shuffled(g, rng))
         kinds |= {
-            (type(kind), cls.verdict) for r in cls.per_component for kind in r.core_kinds
+            (shape.partition("(")[0], cls.verdict)
+            for r in cls.per_component
+            for shape in r.kind.split("+")
         }
     # stars and 5-cycles as cores of members and of non-members
-    for kind in (StarCore, FiveCycleCore):
-        assert {(kind, Verdict.MEMBER), (kind, Verdict.NOT_MEMBER)} <= kinds
+    for shape in ("Star", "FiveCycle"):
+        assert {(shape, Verdict.MEMBER), (shape, Verdict.NOT_MEMBER)} <= kinds
 
 
 def test_unions_shaped_like_the_large_structural_benchmark():

@@ -335,6 +335,27 @@ class TestErrorsAndConfig:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error:") and "non-ASCII" in err
 
+    def test_undecodable_stdin_byte(self):
+        # a stream decoded with surrogateescape, as stdin is under the
+        # POSIX locale, holds the undecodable byte 0xff as '\udcff'
+        code, out, err = invoke(["classify", "-"], stdin_text="\udcff\udcfe 1\n")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: cannot read stdin: non-ASCII byte 0xff at offset 0\n"
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8:surrogateescape"])
+    def test_non_utf8_stdin_process(self, encoding):
+        # strict UTF-8 fails inside read(), surrogateescape after it: both
+        # give the file path's one error line, with no traceback
+        env = dict(os.environ, PYTHONIOENCODING=encoding)
+        src = str(Path(starfactor.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "starfactor.cli", "classify", "-"],
+            input=b"\xff\xfe 1\n", capture_output=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (EXIT_USAGE, b"")
+        assert proc.stderr == b"error: cannot read stdin: non-ASCII byte 0xff at offset 0\n"
+
     def test_non_ascii_graph6_file(self, tmp_path):
         p = tmp_path / "graphs.g6"
         p.write_bytes(to_graph6(cycle(5)).encode() + b"\n\xff\n")

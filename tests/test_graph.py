@@ -15,7 +15,6 @@ from starfactor.graph import (
     GraphError,
     LoopError,
     VertexRangeError,
-    classify_vertices,
     connected_components,
     girth,
     parse_edge_list,
@@ -217,22 +216,6 @@ class TestGirth:
         assert Girth(6) == Girth(6) and Girth(6) != Girth(7) and Girth(6) != Girth(None)
         assert hash(Girth(6)) == hash(Girth(6))
         assert str(Girth(None)) == "Infinite" and str(Girth(5)) == "5"
-
-
-class TestVertexClasses:
-    def test_path_leaves_and_stems(self):
-        vc = classify_vertices(path(5))
-        assert vc.leaves == {0, 4}
-        assert vc.stems == {1, 3}
-
-    def test_k11_double_role(self):
-        vc = classify_vertices(Graph.from_edges(2, [(0, 1)]))
-        assert vc.leaves == {0, 1}
-        assert vc.stems == {0, 1}
-
-    def test_cycle_has_neither(self):
-        vc = classify_vertices(cycle(5))
-        assert not vc.leaves and not vc.stems
 
 
 class TestComponentsAndSubgraphs:

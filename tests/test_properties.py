@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starfactor.census import evaluate_graph
-from starfactor.classifier import Verdict, classify
+from starfactor.classifier import CaseTag, Verdict, classify
 from starfactor.factors import (
     VacuousGraph,
     edge_count_spectrum,
@@ -15,7 +15,6 @@ from starfactor.factors import (
 )
 from starfactor.graph import (
     Graph,
-    classify_vertices,
     connected_components,
     girth,
     parse_graph6,
@@ -23,7 +22,7 @@ from starfactor.graph import (
 )
 from starfactor.solver import Witness, omega_oracle, verify_outcome
 
-from conftest import relabel
+from conftest import leaves_and_stems, relabel
 
 
 @st.composite
@@ -110,9 +109,14 @@ class TestGraphProperties:
     @given(graphs(max_n=10))
     @settings(max_examples=150, deadline=None)
     def test_stems_are_exactly_leaf_neighbors(self, g):
-        vc = classify_vertices(g)
-        expected = {u for leaf in vc.leaves for u in g.adjacency[leaf]}
-        assert vc.stems == expected
+        # classify marks a vertex as a stem exactly when it is a leaf's
+        # neighbor: a structural component is all leaves and stems
+        # exactly when each of its vertices is a leaf or a leaf's neighbor
+        leaves, stems = leaves_and_stems(g)
+        for report in classify(g).per_component:
+            if report.kind != "OracleFallback":
+                covered = (leaves | stems).issuperset(report.vertices)
+                assert (report.tag is CaseTag.ALL_LEAF_OR_STEM) == covered
 
     @given(graphs(max_n=8))
     @settings(max_examples=100, deadline=None)
