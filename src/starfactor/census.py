@@ -21,24 +21,27 @@ breadth-first search.  The masks are laid out so that plain increasing
 order is the list's order: the connected graphs with edge slot i (the
 i-th pair (u, v), u < v, in lexicographic order) at bit i, the girth >= 5
 graphs with slot i at bit M - 1 - i of M slots, so that slot 0 varies
-slowest.
+slowest.  Every mask (at most 28 slots) is read in two halves of its
+bits, through tables built on first use for each (n, layout): a half's
+value gives its pairs as a sorted edge tuple, so a graph's edges are two
+lookups joined, and its image under each generator, so an orbit step is
+two lookups ORed.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import multiprocessing
 import operator
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import __version__
 from .classifier import classify
-from .factors import DEFAULT_CAP, mask_bits
+from .factors import DEFAULT_CAP
 from .graph import Girth, Graph, canonical_rows, girth, graph_from_rows, parse_graph6, to_graph6
 from .solver import Verdict, omega_oracle
 
@@ -95,10 +98,55 @@ def _reversed_layout(girth_min: int | None) -> bool:
     return girth_min is not None and girth_min >= 5
 
 
+class _HalfTables(NamedTuple):
+    """Lookup tables for the edge masks on n vertices in one layout, read
+    in two halves: the low ``half`` bits (``mask & cut``) and the rest
+    (``mask >> half``)."""
+
+    half: int
+    cut: int
+    # slot[pair] is the pair's bit
+    slot: dict[tuple[int, int], int]
+    # a half's value -> its pairs, as a sorted edge tuple
+    low_edges: list[tuple[tuple[int, int], ...]]
+    high_edges: list[tuple[tuple[int, int], ...]]
+    # per generator of S_n, (low, high): a half's value -> its image bits
+    images: tuple[tuple[list[int], list[int]], ...]
+
+
+@functools.cache
+def _half_tables(n: int, reversed_layout: bool) -> _HalfTables:
+    # the pairs in bit order, so that the image of bit b is moved[b]
+    by_bit = _pairs(n)[::-1] if reversed_layout else _pairs(n)
+    half = len(by_bit) // 2
+    slot = {pair: 1 << b for b, pair in enumerate(by_bit)}
+    edges = []
+    for part in (by_bit[:half], by_bit[half:]):
+        # each new bit doubles the table; in the reversed layout a higher
+        # bit is a lower slot, so its pair goes first
+        table: list[tuple[tuple[int, int], ...]] = [()]
+        for pair in part:
+            table += [(pair, *t) for t in table] if reversed_layout else [(*t, pair) for t in table]
+        edges.append(table)
+    images = []
+    for p in ((1, 0, *range(2, n)), (*range(1, n), 0)):
+        moved = [slot[min(p[u], p[v]), max(p[u], p[v])] for u, v in by_bit]
+        tables = []
+        for part in (moved[:half], moved[half:]):
+            table = [0]
+            for image in part:
+                table += [t | image for t in table]
+            tables.append(table)
+        images.append(tuple(tables))
+    return _HalfTables(half, (1 << half) - 1, slot, *edges, tuple(images))
+
+
 def _graph_from_mask(n: int, mask: int, girth_min: int | None) -> Graph:
-    pairs = _pairs(n)
-    bits = mask_bits(mask, len(pairs))
-    return Graph(n, tuple(itertools.compress(pairs, bits[::-1] if _reversed_layout(girth_min) else bits)))
+    reversed_layout = _reversed_layout(girth_min)
+    half, cut, _, low, high, _ = _half_tables(n, reversed_layout)
+    if reversed_layout:
+        return Graph(n, high[mask >> half] + low[mask & cut])
+    return Graph(n, low[mask & cut] + high[mask >> half])
 
 
 def generate_connected(n: int) -> Iterator[Graph]:
@@ -121,7 +169,12 @@ def _labeled_graphs(n: int, girth_min: int | None) -> Iterator[Graph]:
     n vertices, in the labeled enumeration's order."""
     masks = _labeled_masks([g for g, _ in _connected_classes(n, girth_min)[n]], n, girth_min)
     masks.sort()
-    return (_graph_from_mask(n, mask, girth_min) for mask in masks)
+    # _graph_from_mask, with the tables read once
+    reversed_layout = _reversed_layout(girth_min)
+    half, cut, _, low, high, _ = _half_tables(n, reversed_layout)
+    if reversed_layout:
+        return (Graph(n, high[mask >> half] + low[mask & cut]) for mask in masks)
+    return (Graph(n, low[mask & cut] + high[mask >> half]) for mask in masks)
 
 
 def _girth_class(gg: Girth) -> str:
@@ -236,24 +289,12 @@ def _labeled_masks(graphs: Iterable[Graph], n: int, girth_min: int | None) -> li
 
     A graph's copies are the orbit of its mask under S_n, which the
     transposition (0 1) and the n-cycle v -> v + 1 mod n generate.  Each
-    generator permutes the mask's bits through one lookup table per byte,
-    four bytes for the at most 28 slots, and a breadth-first search meets
-    each copy once.  With n <= 1 there is no slot to move, and the orbit
-    is the mask itself.
+    generator permutes the mask's bits through two ``_half_tables``
+    lookups, one per half of the at most 28 slots, ORed, and a
+    breadth-first search meets each copy once.  With n <= 1 there is no
+    slot to move, and the orbit is the mask itself.
     """
-    # the pairs in bit order, so that images[b] is where bit b goes
-    by_bit = _pairs(n)[::-1] if _reversed_layout(girth_min) else _pairs(n)
-    slot = {pair: 1 << b for b, pair in enumerate(by_bit)}
-    tables = []
-    for p in ((1, 0, *range(2, n)), (*range(1, n), 0)):
-        images = [slot[min(p[u], p[v]), max(p[u], p[v])] for u, v in by_bit]
-        for start in range(0, 32, 8):
-            # table[b] is the image of byte b: each image bit doubles it
-            table = [0]
-            for image in images[start:start + 8]:
-                table += [t | image for t in table]
-            tables.append(table)
-    a0, a1, a2, a3, b0, b1, b2, b3 = tables
+    half, cut, slot, _, _, ((a_low, a_high), (b_low, b_high)) = _half_tables(n, _reversed_layout(girth_min))
     masks = []
     for g in graphs:
         start = sum([slot[e] for e in g.edges])
@@ -261,8 +302,8 @@ def _labeled_masks(graphs: Iterable[Graph], n: int, girth_min: int | None) -> li
         orbit = [start]
         # the loop meets the masks it appends, so each copy is expanded once
         for mask in orbit:
-            x, y, z, w = mask & 255, mask >> 8 & 255, mask >> 16 & 255, mask >> 24
-            for image in (a0[x] | a1[y] | a2[z] | a3[w], b0[x] | b1[y] | b2[z] | b3[w]):
+            low, high = mask & cut, mask >> half
+            for image in (a_low[low] | a_high[high], b_low[low] | b_high[high]):
                 if image not in seen:
                     seen.add(image)
                     orbit.append(image)

@@ -302,11 +302,10 @@ def _run_census(args: argparse.Namespace, cap: int, inp: TextIO, out: TextIO) ->
     if args.workers < 0:
         raise CliError(f"--workers must be >= 0, got {args.workers}")
     ns = _parse_range(args.nrange) if args.nrange else []
-    lines: list[str] = []
-    if args.graph6_file:
-        lines = _read_file(args.graph6_file).splitlines()
-    if not ns and not lines:
+    if not ns and args.graph6_file is None:
         raise CliError("census needs -n MIN..MAX and/or --graph6-file")
+    # a file with no graph in it, empty or blank, gives an empty report
+    lines = _read_file(args.graph6_file).splitlines() if args.graph6_file is not None else []
     result = cross_validate(
         ns=ns, girth_min=args.girth_min, cap=cap, workers=args.workers, graph6_lines=lines
     )

@@ -56,6 +56,21 @@ class Girth:
         return "Infinite" if self.value is None else str(self.value)
 
 
+def _diagnose_edge(u, v, previous: tuple, n: int) -> None:
+    """Raise the error that the edge (u, v), after the edge ``previous``,
+    makes in a graph on n vertices; return if it makes none."""
+    if u == v:
+        raise LoopError(f"loop at vertex {u}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise VertexRangeError(f"edge ({u}, {v}) out of range 0..{n - 1}")
+    if u > v:
+        raise GraphError(f"edge ({u}, {v}) not normalized (u < v required)")
+    if (u, v) <= previous:
+        if (u, v) == previous:
+            raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
+        raise GraphError("edge list must be sorted lexicographically")
+
+
 @dataclass(frozen=True)
 class Graph:
     """A finite simple undirected graph with a canonical edge order."""
@@ -64,21 +79,22 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        # one pass: each edge must be normalized, in range and strictly
-        # after the one before it, which rules out duplicates as well
-        previous = (-1, -1)
+        # one pass, one comparison chain per edge: normalized, in range and
+        # strictly after the edge before it, which rules out duplicates as
+        # well.  Only an edge that fails it (or cannot be compared) is
+        # diagnosed, by checks in the order loop, range, normalized,
+        # duplicate, unsorted
+        n = self.n
+        pu = pv = -1
         for u, v in self.edges:
-            if u == v:
-                raise LoopError(f"loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise VertexRangeError(f"edge ({u}, {v}) out of range 0..{self.n - 1}")
-            if u > v:
-                raise GraphError(f"edge ({u}, {v}) not normalized (u < v required)")
-            if (u, v) <= previous:
-                if (u, v) == previous:
-                    raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
-                raise GraphError("edge list must be sorted lexicographically")
-            previous = (u, v)
+            try:
+                if 0 <= u < v < n and (pu < u or pu == u and pv < v):
+                    pu, pv = u, v
+                    continue
+            except TypeError:
+                pass
+            _diagnose_edge(u, v, (pu, pv), n)
+            pu, pv = u, v
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":

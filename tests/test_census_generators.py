@@ -18,10 +18,19 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import pytest
 
-from starfactor.census import _connected_classes, _labeled_masks, generate_connected, generate_connected_girth5
+from starfactor.census import (
+    _connected_classes,
+    _graph_from_mask,
+    _labeled_masks,
+    _pairs,
+    generate_connected,
+    generate_connected_girth5,
+)
+from starfactor.factors import mask_bits
 from starfactor.graph import Graph, canonical_rows, girth, graph_from_rows
 
 
@@ -123,3 +132,21 @@ def test_connected_list_equals_the_sorted_permutations(n):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_girth5_list_equals_the_sorted_permutations(n):
     assert list(generate_connected_girth5(n)) == reference_labeled_graphs(n, 5)
+
+
+def reference_graph_from_mask(n: int, mask: int, girth_min: int | None) -> Graph:
+    """The graph of an edge mask, read bit by bit: slot i at bit i, or
+    under girth_min >= 5 at bit M - 1 - i of the M slots."""
+    bits = mask_bits(mask, len(_pairs(n)))
+    return Graph(n, tuple(itertools.compress(_pairs(n), bits[::-1] if girth_min is not None and girth_min >= 5 else bits)))
+
+
+@pytest.mark.parametrize("girth_min", [None, 5])
+def test_graph_from_mask_equals_the_bitwise_readback(girth_min):
+    # every mask for n <= 6, and a seeded sample with both extremes for n = 7, 8
+    rng = random.Random(28)
+    for n in range(9):
+        size = len(_pairs(n))
+        masks = range(1 << size) if n <= 6 else [0, (1 << size) - 1, *(rng.getrandbits(size) for _ in range(3000))]
+        for mask in masks:
+            assert _graph_from_mask(n, mask, girth_min) == reference_graph_from_mask(n, mask, girth_min), (n, mask)

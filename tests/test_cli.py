@@ -258,6 +258,15 @@ class TestCensusCommand:
         assert sum(r["graphCount"] for r in payload["rows"]) == 2
         assert payload["disagreements"] == []
 
+    @pytest.mark.parametrize("text", ["", "\n\n  \n"], ids=["empty", "blank"])
+    def test_graph6_file_without_graphs_gives_an_empty_report(self, tmp_path, text):
+        p = tmp_path / "graphs.g6"
+        p.write_text(text)
+        code, out, err = invoke(["census", "--graph6-file", str(p), "--workers", "1", "--output", "json"])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["rows"] == [] and payload["disagreements"] == []
+
     def test_census_without_inputs_is_usage_error(self):
         code, _, err = invoke(["census"])
         assert code == EXIT_USAGE

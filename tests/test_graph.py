@@ -1,5 +1,8 @@
 """Graph construction, parsing, girth, and structural primitives."""
 
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +77,75 @@ class TestConstruction:
     def test_isolated_vertex_detection(self):
         assert Graph(2, ()).has_isolated_vertex()
         assert not cycle(3).has_isolated_vertex()
+
+
+def reference_validate(n, edges):
+    """``Graph.__post_init__`` as it was before it checked each edge with
+    one comparison chain: four checks per edge, on an edge tuple."""
+    previous = (-1, -1)
+    for u, v in edges:
+        if u == v:
+            raise LoopError(f"loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise VertexRangeError(f"edge ({u}, {v}) out of range 0..{n - 1}")
+        if u > v:
+            raise GraphError(f"edge ({u}, {v}) not normalized (u < v required)")
+        if (u, v) <= previous:
+            if (u, v) == previous:
+                raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
+            raise GraphError("edge list must be sorted lexicographically")
+        previous = (u, v)
+
+
+def outcome(check, n, edges):
+    """None if ``check(n, edges)`` accepts, else its exception's type and
+    message."""
+    try:
+        check(n, edges)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def edge_lists(values, most):
+    """Every sequence of at most ``most`` pairs drawn from values x values."""
+    pairs = list(itertools.product(values, repeat=2))
+    return [edges for k in range(most + 1) for edges in itertools.product(pairs, repeat=k)]
+
+
+class TestValidationEquivalence:
+    """Every input keeps the reference's outcome: accepted, or the same
+    exception type and message."""
+
+    @staticmethod
+    def assert_same_outcomes(ns, edge_lists):
+        seen = set()
+        for n in ns:
+            for edges in edge_lists:
+                want = outcome(reference_validate, n, edges)
+                assert outcome(Graph, n, edges) == want, (n, edges)
+                seen.add(None if want is None else want[0])
+        return seen
+
+    def test_every_small_input(self):
+        seen = self.assert_same_outcomes(range(4), edge_lists(range(-1, 4), 3))
+        assert seen == {None, LoopError, VertexRangeError, GraphError, DuplicateEdgeError}
+
+    def test_pairs_as_lists(self):
+        lists = [tuple(map(list, edges)) for edges in edge_lists(range(-1, 4), 2)]
+        assert len(self.assert_same_outcomes(range(4), lists)) == 5
+
+    def test_bool_and_float_vertices(self):
+        values = [False, True, 0.0, 0.5, 1.0, 1.5, 2.0, -0.5, math.inf, math.nan]
+        self.assert_same_outcomes([0, 1, 2, 3, 2.5], edge_lists(values, 2))
+
+    def test_pairs_of_the_wrong_length(self):
+        edge_lists = [((),), ((0,),), ((0, 1, 2),), ((0, 1), (1,)), ((0, 1), (0, 2, 1)), ((1, 0, 2),)]
+        assert ValueError in self.assert_same_outcomes(range(4), edge_lists)
+
+    def test_vertices_that_do_not_compare_with_ints(self):
+        edge_lists = [(("a", "a"),), (("a", "b"),), ((0, "b"),), ((None, 1),), ((0, 1), (0, None)), ((0, 1),)]
+        self.assert_same_outcomes([2, None, "3"], edge_lists)
 
 
 class TestEdgeListFormat:
