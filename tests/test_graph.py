@@ -118,10 +118,10 @@ class TestValidationEquivalence:
     exception type and message."""
 
     @staticmethod
-    def assert_same_outcomes(ns, edge_lists):
+    def assert_same_outcomes(ns, inputs):
         seen = set()
         for n in ns:
-            for edges in edge_lists:
+            for edges in inputs:
                 want = outcome(reference_validate, n, edges)
                 assert outcome(Graph, n, edges) == want, (n, edges)
                 seen.add(None if want is None else want[0])
@@ -140,12 +140,12 @@ class TestValidationEquivalence:
         self.assert_same_outcomes([0, 1, 2, 3, 2.5], edge_lists(values, 2))
 
     def test_pairs_of_the_wrong_length(self):
-        edge_lists = [((),), ((0,),), ((0, 1, 2),), ((0, 1), (1,)), ((0, 1), (0, 2, 1)), ((1, 0, 2),)]
-        assert ValueError in self.assert_same_outcomes(range(4), edge_lists)
+        inputs = [((),), ((0,),), ((0, 1, 2),), ((0, 1), (1,)), ((0, 1), (0, 2, 1)), ((1, 0, 2),)]
+        assert ValueError in self.assert_same_outcomes(range(4), inputs)
 
     def test_vertices_that_do_not_compare_with_ints(self):
-        edge_lists = [(("a", "a"),), (("a", "b"),), ((0, "b"),), ((None, 1),), ((0, 1), (0, None)), ((0, 1),)]
-        self.assert_same_outcomes([2, None, "3"], edge_lists)
+        inputs = [(("a", "a"),), (("a", "b"),), ((0, "b"),), ((None, 1),), ((0, 1), (0, None)), ((0, 1),)]
+        self.assert_same_outcomes([2, None, "3"], inputs)
 
 
 class TestEdgeListFormat:
