@@ -330,7 +330,9 @@ def shortest_cycle(adjacency: Adjacency, component: Sequence[int]) -> int | None
     A tree is told by its degree sum, 2(k - 1) over k vertices.  A BFS
     from a vertex of a shortest cycle finds its length, and every cycle
     but a whole component has a vertex of degree >= 3; so the BFS runs
-    from those, or from one vertex of a component that is one cycle.
+    from those, or from one vertex of a component that is one cycle.  No
+    cycle is shorter than a triangle, so the first one found ends the
+    search.
     """
     if sum([len(adjacency[v]) for v in component]) == 2 * (len(component) - 1):
         return None
@@ -353,6 +355,8 @@ def shortest_cycle(adjacency: Adjacency, component: Sequence[int]) -> int | None
                     # an edge back to the previous level (the BFS parent's
                     # or a cross edge) is counted from its other end
                     best = du + dv + 1
+                    if best == 3:
+                        return best
     return best
 
 

@@ -16,16 +16,19 @@ order:
 2. Otherwise a fraction-free elimination in integers reduces D to a
    basis B of its row space (primitive rows, positive pivots).  D is
    never stored: each row is read off its mask only as the scan asks
-   for it, and the scan ends once B has full rank m, which on K7 is
-   after 187 of its 846 rows.  A row's reduction against B is linear in
-   the row, so it is kept packed: one int per edge holds the reduced unit
-   row in fields of W bits, with W wide enough that every reduced entry
-   is a unique balanced base-2^W digit.  The sum of those ints over a
-   mask's edges, less the sum over x_1's, is then zero exactly when the
-   row lies in the span of B (166 of K7's 187 rows do), and only a row
-   that enters B is unpacked into its entries.  A one-signed row of B is
-   nonnegative and nonzero, and no positive w is orthogonal to it: it is
-   the certificate.
+   for it.  A one-signed row of B is nonnegative and nonzero, and no
+   positive w is orthogonal to it: it is the certificate.  So the scan
+   ends right after the first row that leaves a one-signed row in B,
+   which on K7 is the 4th of its 846 rows.  A full-rank B is the
+   identity, so reaching full rank is one such stop, and a scan that
+   meets no one-signed row, as every member's does, reads all of D.  A
+   row's reduction against B is linear in the row, so it is kept packed:
+   one int per edge holds the reduced unit row in fields of W bits, with
+   W wide enough that every reduced entry is a unique balanced base-2^W
+   digit.  The sum of those ints over a mask's edges, less the sum over
+   x_1's, is then zero exactly when the row lies in the span of B (14 of
+   the 14-vertex double star's 19 rows do), and only a row that enters B
+   is unpacked into its entries.
 3. Otherwise LP1,
 
      maximize t  subject to  B w = 0,  w_e >= t,  w_e <= 1,
@@ -175,7 +178,8 @@ def _places(width: int, m: int) -> tuple[tuple[int, ...], int]:
 
 
 def _reduce_rows(first: bytes, masks: Iterable[int]) -> tuple[list[list[int]], list[int], list[int]]:
-    """Fraction-free row basis of the row space of D, read off edge masks.
+    """Fraction-free row basis of the rows of D that the scan reads, read
+    off edge masks.
 
     D has one row x - x_1 for each mask that ``masks`` yields, with x the
     mask's bits and x_1 = ``first`` the first factor's (``mask_bits``).
@@ -183,7 +187,8 @@ def _reduce_rows(first: bytes, masks: Iterable[int]) -> tuple[list[list[int]], l
     positive at its own pivot column and zero at the other rows' pivot
     columns, and used[j] is the index of the D row that entered the basis
     as row j.  Dividing each row by its pivot entry gives the unique
-    reduced basis of the row space with identity on the pivot columns.
+    reduced basis of the space the rows read span, with identity on the
+    pivot columns.
 
     Since every basis row b_j is zero at the other rows' pivots p_k, an
     incoming row x reduces to the one combination
@@ -204,9 +209,13 @@ def _reduce_rows(first: bytes, masks: Iterable[int]) -> tuple[list[list[int]], l
     read, P changes only at the pivots of the basis rows that changed and
     at the new pivot; when L changes or the bound outgrows W, every
     column is packed again, with 2^(W - 1) at least 2^16 times the bound.
-    The rows are read one at a time, and the scan stops as soon as the
-    basis has as many rows as D has columns: the basis then spans every
-    row, so each later row would reduce to zero and is never requested.
+    The rows are read one at a time, and the scan stops right after the
+    first row that leaves a nonnegative row in the basis, which is then a
+    certificate; no later row is requested.  Only the new row and the rows
+    that clearing its pivot changed can have turned nonnegative, so only
+    they are tested.  A basis with as many rows as D has columns is the
+    identity, so the scan stops at full rank too, and a scan that never
+    meets a nonnegative row reads every row of D.
     """
     m = len(first)
     rows: list[list[int]] = []
@@ -265,7 +274,7 @@ def _reduce_rows(first: bytes, masks: Iterable[int]) -> tuple[list[list[int]], l
         pivots.append(pivot)
         used.append(i)
         heads.append(row[pivot])
-        if len(rows) == m:
+        if any(min(rows[j]) >= 0 for j in changed):
             break
     return rows, pivots, used
 

@@ -6,9 +6,11 @@ logic: a star forest is recognized purely from subgraph degrees, and the
 girth re-check uses the edge-removal distance trick.  Frozen expected
 values in the tests were computed with these.  ``reference_reduce_rows``
 is the row basis on explicit integer rows that the library's packed scan
-over edge masks replaced; the references that reduce rows use it.
-``reference_lp1`` and ``reference_lp2`` build the oracle's two linear
-programs over a list of reduced basis rows, and ``reference_block_lps``
+over edge masks replaced; the references that reduce rows use it.  It
+reduces every row it is given, so the equivalence tests give it the
+prefix of D that the scan read.  ``reference_lp1`` and ``reference_lp2``
+build the oracle's two linear programs over a list of reduced basis
+rows, and ``reference_block_lps``
 runs them one block of the basis at a time, with the blocks found by a
 breadth-first search over shared columns instead of the library's
 component search on the rows and columns.  ``leaves_and_stems`` is

@@ -3,21 +3,27 @@
 ``reference_reduce_rows`` (in ``conftest``) is an earlier
 ``solver._reduce_rows``.  It takes D's rows as explicit integer lists,
 eliminates every incoming row against every basis row over all columns,
-and reduces every row of D even after the basis has reached full rank.
-``_reduce_rows`` reads each row x - x_1 off a factor's edge mask, tests
-it against the basis with one packed integer sum, and stops at full
-rank; once the basis has as many rows as D has columns every later row
-reduces to zero, so on every mask list both must return the same
-``(rows, pivots, used)``.  The generated lists include random ones, ones
-whose D has full rank before its last row, ones whose rows lie in a
-space of dimension at most 4, and ones whose basis has pivot entries
+and reduces every row it is given.  ``_reduce_rows`` reads each row
+x - x_1 off a factor's edge mask, tests it against the basis with one
+packed integer sum, and stops right after the first row that leaves a
+nonnegative row in the basis; a full-rank basis is the identity, so
+reaching full rank is one such stop.  So on every mask list the scan
+must return the reference's ``(rows, pivots, used)`` on the prefix of D
+that it read, and that prefix must be the shortest possible: the
+reference basis of one row fewer has no nonnegative row, and a scan that
+never meets a nonnegative row reads all of D.  The generated lists
+include random ones, ones whose rows are +-e_k, ones whose rows lie in
+a space of dimension at most 4, and ones whose basis has pivot entries
 above 1, so that incoming rows are rescaled by the lcm of the pivot
 entries.  Wider lists, up to 30 columns and 80 masks, and a list whose
 basis holds the Fibonacci numbers up to 317,811 grow basis entries far
 above the packed fields' first width, so that the fields widen.  The
 basis is compared on every connected isomorphism class with n <= 7 and
-on K8 and K9.  The scan reads its rows one at a time: two more tests
-check that it requests no row after the one that completes the rank.
+on K8 and K9; the double star, the members up to seven vertices and the
+six-vertex graphs that need LP2 meet no nonnegative row, so their scan
+equals the reference on all of D.  The scan reads its rows one at a
+time: more tests check that it requests no row after the one that stops
+it, and that K7's decision reads four.
 """
 
 from __future__ import annotations
@@ -32,15 +38,17 @@ from hypothesis import strategies as st
 from starfactor import solver
 from starfactor.census import _connected_classes
 from starfactor.factors import enumerate_star_factors, incidence_vectors, mask_bits
-from starfactor.graph import Graph
-from starfactor.solver import _reduce_rows
+from starfactor.graph import Graph, parse_graph6, to_graph6
+from starfactor.solver import Witness, _reduce_rows, decide_uniform_weighting
 
-from conftest import reference_reduce_rows
+from conftest import double_star_graph, reference_reduce_rows
+from test_solver_golden import _fixed_graphs, _golden
 
-# x_1 = 0 and D's rows 1100, 1010, 0111 (bit e is column e): the reduced
-# basis is 1 0 0 -1/2, 0 1 0 1/2, 0 0 1 1/2, so the primitive basis rows
-# have pivot entries 2
-FRACTIONAL = [0b0000, 0b0011, 0b0101, 0b1110]
+# x_1 = 00001 and D's rows 1100-, 1010-, 0111- (bit e is column e): the
+# reduced basis is 1 0 0 -1/2 -1/2, 0 1 0 1/2 -1/2, 0 0 1 1/2 -1/2, so the
+# primitive basis rows have pivot entries 2, and no basis on the way has
+# a nonnegative row
+FRACTIONAL = [0b10000, 0b00011, 0b00101, 0b01110]
 
 
 def reduce_masks(masks: list[int], m: int) -> tuple[list[list[int]], list[int], list[int]]:
@@ -54,20 +62,51 @@ def reference(masks: list[int], m: int) -> tuple[list[list[int]], list[int], lis
     return reference_reduce_rows([[a - b for a, b in zip(v, vectors[0])] for v in vectors[1:]])
 
 
-KINDS = ["random", "full_rank", "blocks", "fractional"]
+def nonnegative(rows: list[list[int]]) -> bool:
+    """Some row of a basis is nonnegative; basis rows are never zero."""
+    return any(min(row) >= 0 for row in rows)
+
+
+def scan(masks: list[int], m: int) -> tuple[tuple[list[list[int]], list[int], list[int]], int]:
+    """``_reduce_rows`` on the masks, and the number of D rows it read."""
+    read = 0
+
+    def counted():
+        nonlocal read
+        for mask in masks[1:]:
+            read += 1
+            yield mask
+
+    return _reduce_rows(mask_bits(masks[0], m), counted()), read
+
+
+def agrees(masks: list[int], m: int) -> bool:
+    """The scan returns the reference basis of the rows it read, and it
+    stops at the first of D's prefixes whose basis has a nonnegative row,
+    or reads all of D if none has."""
+    basis, read = scan(masks, m)
+    if basis != reference(masks[: 1 + read], m):
+        return False
+    if nonnegative(basis[0]):
+        return not nonnegative(reference(masks[:read], m)[0])
+    return read == len(masks) - 1
+
+
+KINDS = ["random", "unit_rows", "blocks", "fractional"]
 
 
 @st.composite
 def mask_lists(draw, kinds=KINDS) -> tuple[list[int], int]:
     kind = draw(st.sampled_from(kinds))
-    m = draw(st.integers(min_value=4 if kind == "fractional" else 0, max_value=21))
+    m = draw(st.integers(min_value=5 if kind == "fractional" else 0, max_value=21))
     mask = st.integers(min_value=0, max_value=(1 << m) - 1)
     if kind == "random":
         return draw(st.lists(mask, min_size=1, max_size=20)), m
     if kind == "fractional":
         return FRACTIONAL + draw(st.lists(mask, max_size=20)), m
-    if kind == "full_rank":
-        # x_1 with one bit flipped gives a row +-e_k, so D has rank m
+    if kind == "unit_rows":
+        # x_1 with one bit flipped gives a row +-e_k, so D has rank m, and
+        # the first such row is a basis row e_k
         first = draw(mask)
         flips = [first ^ 1 << k for k in range(m)]
         return [first, *draw(st.permutations(flips + draw(st.lists(mask, max_size=20))))], m
@@ -82,8 +121,7 @@ def mask_lists(draw, kinds=KINDS) -> tuple[list[int], int]:
 @given(mask_lists())
 @settings(max_examples=500, deadline=None)
 def test_same_basis_as_reference(masks_and_m):
-    masks, m = masks_and_m
-    assert reduce_masks(masks, m) == reference(masks, m)
+    assert agrees(*masks_and_m)
 
 
 @st.composite
@@ -101,65 +139,86 @@ def wide_mask_lists(draw) -> tuple[list[int], int]:
 @settings(max_examples=300, deadline=None)
 def test_same_basis_as_reference_where_entries_grow(masks_and_m):
     masks, m = masks_and_m
-    rows, pivots, used = reduce_masks(masks, m)
-    assert (rows, pivots, used) == reference(masks, m)
+    assert agrees(masks, m)
+    rows = reduce_masks(masks, m)[0]
     # steer the search to bases with large entries, whose fields widen
     target(max((abs(x) for row in rows for x in row), default=0).bit_length(), label="entry bits")
 
 
 def test_fractional_kind_has_pivot_entries_above_one():
-    expected = ([[2, 0, 0, -1], [0, 2, 0, 1], [0, 0, 2, 1]], [0, 1, 2], [0, 1, 2])
-    assert reduce_masks(FRACTIONAL, 4) == expected == reference(FRACTIONAL, 4)
+    expected = ([[2, 0, 0, -1, -1], [0, 2, 0, 1, -1], [0, 0, 2, 1, -1]], [0, 1, 2], [0, 1, 2])
+    assert reduce_masks(FRACTIONAL, 5) == expected == reference(FRACTIONAL, 5)
+    assert agrees(FRACTIONAL, 5)
 
 
 def test_rows_rescaled_by_the_pivot_lcm():
-    # x_1 = 01000 and D's rows 01101, 0011-, 1011-, 1101- give a basis with
-    # pivot entries 2, 2, 1 and 2: each later row is doubled before the
-    # basis rows are subtracted.  The fifth row, 11101, is half the first
-    # two basis rows plus the third, and it reduces to zero only doubled.
-    masks = [0b01000, 0b11110, 0b00100, 0b00101, 0b00011, 0b11111]
-    expected = ([[0, 2, 0, 0, 1], [0, 0, 2, 0, 1], [1, 0, 0, 0, 0], [0, 0, 0, 2, 1]], [1, 2, 0, 3], [0, 1, 2, 3])
+    # x_1 = 00101 and D's rows 10-00, 01-00, 1100- and 1001- give a basis
+    # with pivot entries 2, 2, 2 and 2 over the free column 4: each later
+    # row is doubled before the basis rows are subtracted.  The fifth row,
+    # 00-10, is half the fourth basis row less half the third, and it
+    # reduces to zero only doubled.
+    masks = [0b10100, 0b10001, 0b10010, 0b00111, 0b01101, 0b11000]
+    expected = ([[2, 0, 0, 0, -1], [0, 2, 0, 0, -1], [0, 0, 2, 0, -1], [0, 0, 0, 2, -1]], [0, 1, 2, 3], [0, 1, 2, 3])
     assert reduce_masks(masks, 5) == expected == reference(masks, 5)
-    # the row 00001 completes the rank
-    masks.append(0b11000)
-    identity = [[int(k == p) for k in range(5)] for p in [1, 2, 0, 3, 4]]
-    assert reduce_masks(masks, 5) == (identity, [1, 2, 0, 3, 4], [0, 1, 2, 3, 5])
-    assert reduce_masks(masks, 5) == reference(masks, 5)
+    assert agrees(masks, 5)
+    # the row 01000 completes the rank, and the identity is nonnegative
+    masks.append(0b10110)
+    identity = [[int(k == p) for k in range(5)] for p in range(5)]
+    assert scan(masks, 5) == ((identity, [0, 1, 2, 3, 4], [0, 1, 2, 3, 5]), 6)
+    assert agrees(masks, 5)
 
 
 def test_fields_widen_as_fibonacci_entries_grow():
-    # x_1 = 0, and row k of D has ones at columns k, k - 1, k - 3, k - 5, ...
-    # (and row 0 also at the last column, 29): the basis row with pivot k is
-    # e_k + (-1)^k F(k + 2) e_29, with F the Fibonacci numbers, so the
+    # x_1 = e_30, and D's row k is e_k + e_(k - 1) + e_(k - 3) + ... - e_30
+    # (row 0 also has e_29): the basis row with pivot 0 is e_0 + e_29 - e_30,
+    # and the one with pivot k >= 1 is e_k + (-1)^k (F(k) e_29 - F(k - 1) e_30),
+    # with F the Fibonacci numbers, so no basis row is one-signed and the
     # packed fields must widen as the basis grows
-    m = 30
-    masks = [0]
-    for k in range(m - 1):
-        columns = {k, *range(k - 1, -1, -2)} | ({m - 1} if k == 0 else set())
+    m = 31
+    masks = [1 << 30]
+    for k in range(29):
+        columns = {k, *range(k - 1, -1, -2)} | ({29} if k == 0 else set())
         masks.append(sum(1 << c for c in columns))
-    rows, pivots, used = reduce_masks(masks, m)
+    (rows, pivots, used), read = scan(masks, m)
+    assert read == 29
     assert (rows, pivots, used) == reference(masks, m)
-    assert [row[-1] for row in rows[-2:]] == [-196418, 317811]
+    assert [row[29:] for row in rows[-2:]] == [[-196418, 121393], [317811, -196418]]
+    assert not nonnegative(rows)
 
 
 def test_stops_at_full_rank():
-    # the third row, 01, would change nothing: rows 10 and 11 already span Z^2
-    masks = [0b00, 0b01, 0b11, 0b10]
-    assert reduce_masks(masks, 2) == ([[1, 0], [0, 1]], [0, 1], [0, 1]) == reference(masks, 2)
+    # x_1 = 01, rows 1- and 0-: the second completes the rank, and the
+    # third, 10, is never read
+    masks = [0b10, 0b01, 0b00, 0b11]
+    assert scan(masks, 2) == (([[1, 0], [0, 1]], [0, 1], [0, 1]), 2)
+    assert reduce_masks(masks, 2) == reference(masks, 2)
 
 
 def test_scan_never_requests_a_row_after_full_rank():
     def masks():
         yield 0b01
-        yield 0b11
+        yield 0b00
         pytest.fail("a row after the full-rank row was requested")
 
-    assert _reduce_rows(mask_bits(0b00, 2), masks()) == ([[1, 0], [0, 1]], [0, 1], [0, 1])
+    assert _reduce_rows(mask_bits(0b10, 2), masks()) == ([[1, 0], [0, 1]], [0, 1], [0, 1])
 
 
-def test_k7_decision_reads_only_the_rows_up_to_full_rank(monkeypatch):
-    # K7 has 847 star-factors, so D has 846 rows, and the basis reaches its
-    # full rank of 21 at the 187th; the decision forms no row after that
+def test_scan_never_requests_a_row_after_the_first_nonnegative_row():
+    # x_1 = 001: the row 11- has both signs, and clearing the pivot of the
+    # next row, 01-, from it leaves 100, one-signed though the rank is 2
+    def masks():
+        yield 0b011
+        yield 0b010
+        pytest.fail("a row after the first nonnegative basis row was requested")
+
+    assert _reduce_rows(mask_bits(0b100, 3), masks()) == ([[1, 0, 0], [0, 1, -1]], [0, 1], [0, 1])
+    assert agrees([0b100, 0b011, 0b010, 0b001], 3)
+
+
+def test_k7_decision_reads_only_the_rows_up_to_the_first_nonnegative_row(monkeypatch):
+    # K7 has 847 star-factors, so D has 846 rows, and the basis first has a
+    # nonnegative row at the 4th, far short of its full rank of 21; the
+    # decision forms no row after that
     reads = []
 
     def counting_reduce_rows(first, masks):
@@ -177,7 +236,8 @@ def test_k7_decision_reads_only_the_rows_up_to_full_rank(monkeypatch):
     masks = enumerate_star_factors(k7)
     outcome = solver.decide_uniform_weighting(masks, k7.m)
     assert len(masks) - 1 == 846
-    assert reads[0] == 187
+    assert reads == [4]
+    assert agrees(masks, k7.m)
     assert solver.verify_outcome(incidence_vectors(masks, k7.m), outcome)
 
 
@@ -186,11 +246,34 @@ def test_every_connected_class_up_to_seven_vertices():
     cases = [(enumerate_star_factors(g), g.m) for n in range(2, 8) for g, _ in classes[n]]
     cases = [(masks, m) for masks, m in cases if len(masks) > 1]
     assert len(cases) == 978
-    assert [masks for masks, m in cases if reduce_masks(masks, m) != reference(masks, m)] == []
+    assert [masks for masks, m in cases if not agrees(masks, m)] == []
 
 
 @pytest.mark.parametrize("n", [8, 9])
 def test_complete_graph(n):
     g = Graph.from_edges(n, combinations(range(n), 2))
     masks = enumerate_star_factors(g)
-    assert reduce_masks(masks, g.m) == reference(masks, g.m)
+    assert agrees(masks, g.m)
+    assert scan(masks, g.m)[1] == 4
+
+
+def test_scan_without_a_nonnegative_row_reads_all_of_d():
+    # the double star, every member up to seven vertices and the six-vertex
+    # graphs whose refutation needs LP2: no basis on the way is one-signed
+    classes = _connected_classes(7, None)
+    members = [g for n in range(2, 8) for g, _ in classes[n]]
+    members = [
+        (masks, g.m)
+        for g in members
+        for masks in [enumerate_star_factors(g)]
+        if len(masks) > 1 and isinstance(decide_uniform_weighting(masks, g.m), Witness)
+    ]
+    fixed = {to_graph6(g) for g in _fixed_graphs()}
+    lp2 = [parse_graph6(key) for key in _golden() if key not in fixed]
+    others = [(enumerate_star_factors(g), g.m) for g in [double_star_graph(), *lp2]]
+    assert len(lp2) == 54
+    for masks, m in members + others:
+        basis, read = scan(masks, m)
+        assert read == len(masks) - 1
+        assert basis == reference(masks, m)
+        assert not nonnegative(basis[0])
