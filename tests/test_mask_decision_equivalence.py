@@ -21,9 +21,10 @@ row past that prefix gets coefficient 0.  Both bases are then the unique
 one of that prefix's row space, entered by the same rows in the same
 order, so every outcome must be the same to the byte: ``repr`` is
 compared on every connected isomorphism class with n <= 7, on K8 and K9
-and on random graphs with n <= 10.  Two more tests check that the oracle
-builds no incidence vector, and that K7's and K8's decisions form four
-D rows, up to the first nonnegative basis row, of 846 and 5,040.
+and on random graphs with n <= 10.  Three more tests check that the oracle
+builds no incidence vector, that K7's and K8's decisions form four D
+rows, up to the first nonnegative basis row, of 846 and 5,040, and that
+they form no row past D's shortest prefix of full rank m.
 """
 
 from __future__ import annotations
@@ -256,3 +257,29 @@ def test_decision_forms_the_rows_up_to_the_first_nonnegative_row_only(n, factor_
     assert isinstance(outcome, Refutation)
     assert calls[0] == 1 + rows
     assert solver.verify_outcome(incidence_vectors(masks, g.m), outcome)
+
+
+@pytest.mark.parametrize("n, factor_count, rows", [(7, 847, 187), (8, 5041, 953)])
+def test_decision_forms_the_rows_up_to_full_rank_only(n, factor_count, rows, monkeypatch):
+    # D's first ``rows`` rows are its shortest prefix of full rank m; a
+    # full-rank basis is the identity, hence nonnegative, so the scan
+    # never forms a row past that prefix
+    calls = [0]
+    mask_bits = solver.mask_bits
+
+    def counted(mask, m):
+        calls[0] += 1
+        return mask_bits(mask, m)
+
+    monkeypatch.setattr(solver, "mask_bits", counted)
+    g = complete(n)
+    masks = enumerate_star_factors(g)
+    outcome = decide_uniform_weighting(masks, g.m)
+    assert len(masks) == factor_count
+    assert isinstance(outcome, Refutation)
+    assert calls[0] <= 1 + rows
+    vectors = incidence_vectors(masks[: 1 + rows], g.m)
+    first = vectors[0]
+    _, _, used = reference_reduce_rows([[a - b for a, b in zip(v, first)] for v in vectors[1:]])
+    assert len(used) == g.m
+    assert used[-1] == rows - 1
