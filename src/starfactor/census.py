@@ -11,7 +11,10 @@ pairwise distance >= k - 2, which are exactly the sets that keep girth
 For every graph of girth at least five both the structural classifier
 and the brute-force oracle run and any verdict mismatch is logged, once
 per labeled copy; graphs of smaller girth are decided by the oracle
-alone and only counted.
+alone and only counted.  ``evaluate_graph`` gives each decided graph
+its own ``CensusRow``, each count 0 or 1, which is added to its
+(n, girth) row once per copy: a report column is one ``CensusRow``
+field, one ``_COLUMNS`` line and its value in ``evaluate_graph``.
 
 ``generate_connected`` and ``generate_connected_girth5`` list the
 labeled graphs themselves by expanding the same classes into every
@@ -23,9 +26,9 @@ i-th pair (u, v), u < v, in lexicographic order) at bit i, the girth >= 5
 graphs with slot i at bit M - 1 - i of M slots, so that slot 0 varies
 slowest.  Every mask (at most 28 slots) is read in two halves of its
 bits, through tables built on first use for each (n, layout): a half's
-value gives its pairs as a sorted edge tuple, so a graph's edges are two
-lookups joined, and its image under each generator, so an orbit step is
-two lookups ORed.
+value gives its pairs as a sorted edge tuple, so ``_graphs_from_masks``
+joins two lookups per graph, and its image under each generator, so an
+orbit step is two lookups ORed.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import math
 import multiprocessing
 import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, NamedTuple
 
 from . import __version__
@@ -85,9 +88,8 @@ class CensusResult:
     disagreements: list[Disagreement] = field(default_factory=list)
 
 
-@functools.cache
-def _pairs(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
+# what evaluate_graph returns for one graph
+_Evaluated = tuple[CensusRow, Disagreement | None] | None
 
 
 def _reversed_layout(girth_min: int | None) -> bool:
@@ -117,7 +119,8 @@ class _HalfTables(NamedTuple):
 @functools.cache
 def _half_tables(n: int, reversed_layout: bool) -> _HalfTables:
     # the pairs in bit order, so that the image of bit b is moved[b]
-    by_bit = _pairs(n)[::-1] if reversed_layout else _pairs(n)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    by_bit = pairs[::-1] if reversed_layout else pairs
     half = len(by_bit) // 2
     slot = {pair: 1 << b for b, pair in enumerate(by_bit)}
     edges = []
@@ -141,12 +144,14 @@ def _half_tables(n: int, reversed_layout: bool) -> _HalfTables:
     return _HalfTables(half, (1 << half) - 1, slot, *edges, tuple(images))
 
 
-def _graph_from_mask(n: int, mask: int, girth_min: int | None) -> Graph:
+def _graphs_from_masks(n: int, masks: Iterable[int], girth_min: int | None) -> Iterator[Graph]:
+    """The graph of each edge mask, in the ``_reversed_layout`` for
+    ``girth_min`` or not, in order; the tables are read once per call."""
     reversed_layout = _reversed_layout(girth_min)
     half, cut, _, low, high, _ = _half_tables(n, reversed_layout)
     if reversed_layout:
-        return Graph(n, high[mask >> half] + low[mask & cut])
-    return Graph(n, low[mask & cut] + high[mask >> half])
+        return (Graph(n, high[mask >> half] + low[mask & cut]) for mask in masks)
+    return (Graph(n, low[mask & cut] + high[mask >> half]) for mask in masks)
 
 
 def generate_connected(n: int) -> Iterator[Graph]:
@@ -169,12 +174,7 @@ def _labeled_graphs(n: int, girth_min: int | None) -> Iterator[Graph]:
     n vertices, in the labeled enumeration's order."""
     masks = _labeled_masks([g for g, _ in _connected_classes(n, girth_min)[n]], n, girth_min)
     masks.sort()
-    # _graph_from_mask, with the tables read once
-    reversed_layout = _reversed_layout(girth_min)
-    half, cut, _, low, high, _ = _half_tables(n, reversed_layout)
-    if reversed_layout:
-        return (Graph(n, high[mask >> half] + low[mask & cut]) for mask in masks)
-    return (Graph(n, low[mask & cut] + high[mask >> half]) for mask in masks)
+    return _graphs_from_masks(n, masks, girth_min)
 
 
 def _girth_class(gg: Girth) -> str:
@@ -185,21 +185,11 @@ def _girth_class(gg: Girth) -> str:
     return str(gg.value)
 
 
-@dataclass(frozen=True)
-class _Record:
-    n: int
-    girth_class: str
-    omega_member: bool
-    u_member: bool
-    cap_exceeded: bool
-    disagreement: Disagreement | None
-
-
-def evaluate_graph(
-    g: Graph, cap: int = DEFAULT_CAP, girth_min: int | None = None
-) -> _Record | None:
-    """Oracle (and, for girth >= 5, classifier) run on a single graph;
-    None, with nothing decided, for a graph of girth below ``girth_min``."""
+def evaluate_graph(g: Graph, cap: int = DEFAULT_CAP, girth_min: int | None = None) -> _Evaluated:
+    """Oracle (and, for girth >= 5, classifier) run on a single graph, as
+    (the census row of g alone, with graph_count 1 and each other count
+    0 or 1, and its disagreement or None); None, with nothing decided,
+    for a graph of girth below ``girth_min``."""
     gg = girth(g)
     if girth_min is not None and not gg.at_least(girth_min):
         return None
@@ -207,26 +197,22 @@ def evaluate_graph(
     verdict = result.verdict
     # every factor has the same edge count iff w = 1 is uniform, and then
     # decide_uniform_weighting returns the all-ones witness before building D
-    u_member = result.witness is not None and all(
-        w == 1 for w in result.witness.weighting.weights
-    )
+    u_member = result.witness is not None and all(w == 1 for w in result.witness.weighting.weights)
     disagreement = None
     if gg.at_least(5) and verdict in (Verdict.MEMBER, Verdict.NOT_MEMBER):
         cls = classify(g, cap=cap)
         if (cls.verdict is Verdict.MEMBER) != (verdict is Verdict.MEMBER):
-            disagreement = Disagreement(
-                graph6=to_graph6(g),
-                oracle_verdict=verdict.value,
-                classifier_verdict=cls.verdict.value,
-            )
-    return _Record(
+            disagreement = Disagreement(to_graph6(g), verdict.value, cls.verdict.value)
+    row = CensusRow(
         n=g.n,
         girth_class=_girth_class(gg),
-        omega_member=verdict is Verdict.MEMBER,
-        u_member=u_member,
-        cap_exceeded=verdict is Verdict.CAP_EXCEEDED,
-        disagreement=disagreement,
+        graph_count=1,
+        omega_members=int(verdict is Verdict.MEMBER),
+        u_members=int(u_member),
+        disagreements=int(disagreement is not None),
+        cap_exceeded=int(verdict is Verdict.CAP_EXCEEDED),
     )
+    return row, disagreement
 
 
 def _connected_classes(n_max: int, girth_min: int | None) -> dict[int, list[tuple[Graph, int]]]:
@@ -311,7 +297,7 @@ def _labeled_masks(graphs: Iterable[Graph], n: int, girth_min: int | None) -> li
     return masks
 
 
-def _worker(item: tuple[int, Graph, int] | str, cap: int, girth_min: int | None) -> _Record | None:
+def _worker(item: tuple[int, Graph, int] | str, cap: int, girth_min: int | None) -> _Evaluated:
     """Decide one work item: a graph6 line, or an isomorphism class as
     (place of its n in ``ns``, canonical graph, labeled copies)."""
     g = parse_graph6(item) if isinstance(item, str) else item[1]
@@ -358,39 +344,34 @@ def cross_validate(
 
 
 def _accumulate(
-    decided: Iterable[tuple[tuple[int, Graph, int] | str, _Record | None]], girth_min: int | None
+    decided: Iterable[tuple[tuple[int, Graph, int] | str, _Evaluated]], girth_min: int | None
 ) -> CensusResult:
-    """Rows and disagreements of the labeled census: a class counts once
-    per labeled copy, and a disagreeing class lists every copy, ordered
-    as the labeled enumeration would meet them (by n's place in ``ns``,
-    then by mask in the ``_reversed_layout`` or not), before the graph6
-    lines."""
+    """Rows and disagreements of the labeled census: a class adds its
+    row's counts (every column after n and girth_class) once per labeled
+    copy, and a disagreeing class lists every copy, ordered as the
+    labeled enumeration would meet them (by n's place in ``ns``, then by
+    mask in the ``_reversed_layout`` or not), before the graph6 lines."""
+    counts = [attr for attr, *_ in _COLUMNS[2:]]
     table: dict[tuple[int, str], CensusRow] = {}
     labeled: list[tuple[int, int, Disagreement]] = []
     external: list[Disagreement] = []
-    for item, rec in decided:
-        if rec is None:
+    for item, evaluated in decided:
+        if evaluated is None:
             continue
+        one, d = evaluated
         copies = 1 if isinstance(item, str) else item[2]
-        key = (rec.n, rec.girth_class)
-        row = table.get(key)
-        if row is None:
-            row = table[key] = CensusRow(n=rec.n, girth_class=rec.girth_class)
-        row.graph_count += copies
-        row.omega_members += copies * rec.omega_member
-        row.u_members += copies * rec.u_member
-        row.cap_exceeded += copies * rec.cap_exceeded
-        d = rec.disagreement
+        row = table.setdefault((one.n, one.girth_class), CensusRow(one.n, one.girth_class))
+        for attr in counts:
+            setattr(row, attr, getattr(row, attr) + copies * getattr(one, attr))
         if d is None:
             continue
-        row.disagreements += copies
         if isinstance(item, str):
             external.append(d)
             continue
         place, g, _ = item
-        for mask in _labeled_masks([g], g.n, girth_min):
-            graph6 = to_graph6(_graph_from_mask(g.n, mask, girth_min))
-            labeled.append((place, mask, Disagreement(graph6, d.oracle_verdict, d.classifier_verdict)))
+        masks = _labeled_masks([g], g.n, girth_min)
+        for mask, copy in zip(masks, _graphs_from_masks(g.n, masks, girth_min)):
+            labeled.append((place, mask, replace(d, graph6=to_graph6(copy))))
     order = {c: i for i, c in enumerate(GIRTH_CLASSES)}
     rows = sorted(table.values(), key=lambda r: (r.n, order[r.girth_class]))
     labeled.sort(key=lambda entry: entry[:2])

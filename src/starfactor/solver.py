@@ -177,18 +177,21 @@ def _places(width: int, m: int) -> tuple[tuple[int, ...], int]:
     return powers, sum(powers) << width - 1
 
 
-def _reduce_rows(first: bytes, masks: Iterable[int]) -> tuple[list[list[int]], list[int], list[int]]:
+def _reduce_rows(
+    first: bytes, masks: Iterable[int]
+) -> tuple[list[list[int]], list[int], list[int], int | None]:
     """Fraction-free row basis of the rows of D that the scan reads, read
     off edge masks.
 
     D has one row x - x_1 for each mask that ``masks`` yields, with x the
     mask's bits and x_1 = ``first`` the first factor's (``mask_bits``).
-    Returns (rows, pivots, used): each row is a primitive integer row,
-    positive at its own pivot column and zero at the other rows' pivot
-    columns, and used[j] is the index of the D row that entered the basis
-    as row j.  Dividing each row by its pivot entry gives the unique
-    reduced basis of the space the rows read span, with identity on the
-    pivot columns.
+    Returns (rows, pivots, used, stop): each row is a primitive integer
+    row, positive at its own pivot column and zero at the other rows' pivot
+    columns, used[j] is the index of the D row that entered the basis as
+    row j, and stop is the index of the basis's first nonnegative row, or
+    None when the scan read all of D and met none.  Dividing each row by
+    its pivot entry gives the unique reduced basis of the space the rows
+    read span, with identity on the pivot columns.
 
     Since every basis row b_j is zero at the other rows' pivots p_k, an
     incoming row x reduces to the one combination
@@ -213,7 +216,9 @@ def _reduce_rows(first: bytes, masks: Iterable[int]) -> tuple[list[list[int]], l
     first row that leaves a nonnegative row in the basis, which is then a
     certificate; no later row is requested.  Only the new row and the rows
     that clearing its pivot changed can have turned nonnegative, so only
-    they are tested.  A basis with as many rows as D has columns is the
+    they are tested, in increasing order: every other row was tested
+    before, so the first of them that passes is the basis's first
+    nonnegative row.  A basis with as many rows as D has columns is the
     identity, so the scan stops at full rank too, and a scan that never
     meets a nonnegative row reads every row of D.
     """
@@ -274,9 +279,10 @@ def _reduce_rows(first: bytes, masks: Iterable[int]) -> tuple[list[list[int]], l
         pivots.append(pivot)
         used.append(i)
         heads.append(row[pivot])
-        if any(min(rows[j]) >= 0 for j in changed):
-            break
-    return rows, pivots, used
+        for j in changed:
+            if min(rows[j]) >= 0:
+                return rows, pivots, used, j
+    return rows, pivots, used, None
 
 
 def _refutation(
@@ -364,16 +370,15 @@ def decide_uniform_weighting(masks: Sequence[int], m: int) -> FeasibilityOutcome
         return Witness(weighting=Weighting.constant(m), common_weight=Fraction(masks[0].bit_count()))
     # D's rows x_i - x_1 (i >= 2) are formed only as the row basis reads them.
     first = mask_bits(masks[0], m)
-    rows, pivots, used = _reduce_rows(first, islice(masks, 1, None))
+    rows, pivots, used, stop = _reduce_rows(first, islice(masks, 1, None))
 
     # A one-signed basis row is already a certificate; its pivot entry is
-    # positive, so it is nonnegative.
+    # positive, so it is nonnegative, and the scan stopped at the first one.
     r = len(rows)
-    for j, row in enumerate(rows):
-        if all(x >= 0 for x in row):
-            ys = [ZERO] * r
-            ys[j] = ONE
-            return _refutation(masks, ys, rows, pivots, used)
+    if stop is not None:
+        ys = [ZERO] * r
+        ys[stop] = ONE
+        return _refutation(masks, ys, rows, pivots, used)
 
     # B is block-diagonal: rows that share no column, even through other
     # rows, constrain disjoint weights, so each block is its own LP1, and

@@ -1,5 +1,6 @@
 """Census enumeration, cross-validation, and report snapshots."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -106,20 +107,38 @@ class TestGenerators:
 
 class TestEvaluate:
     def test_member_and_uniform_flags(self):
-        rec = evaluate_graph(cycle(5))
-        assert rec.omega_member and rec.u_member and rec.girth_class == "5"
-        rec = evaluate_graph(path(6))
-        assert rec.omega_member and not rec.u_member
-        rec = evaluate_graph(cycle(6))
-        assert not rec.omega_member and rec.girth_class == "6"
+        row, _ = evaluate_graph(cycle(5))
+        assert row.omega_members == row.u_members == 1 and row.girth_class == "5"
+        row, _ = evaluate_graph(path(6))
+        assert (row.omega_members, row.u_members) == (1, 0)
+        row, _ = evaluate_graph(cycle(6))
+        assert row.omega_members == 0 and row.girth_class == "6"
 
     def test_cap_marks_record(self):
-        rec = evaluate_graph(cycle(6), cap=2)
-        assert rec.cap_exceeded and not rec.omega_member
+        row, _ = evaluate_graph(cycle(6), cap=2)
+        assert (row.cap_exceeded, row.omega_members) == (1, 0)
 
     def test_vacuous_graph_counted_without_verdict(self):
-        rec = evaluate_graph(Graph(1, ()))
-        assert not rec.omega_member and not rec.cap_exceeded
+        row, disagreement = evaluate_graph(Graph(1, ()))
+        assert row == CensusRow(n=1, girth_class="inf", graph_count=1)
+        assert disagreement is None
+
+    def test_counts_are_ints_for_one_graph(self):
+        # the census multiplies every count after n and girth_class by a
+        # class's copies, so each is the int 0 or 1, never a bool
+        graphs = [cycle(5), cycle(6), path(6), petersen(), Graph(1, ())]
+        evaluated = [evaluate_graph(g) for g in graphs] + [evaluate_graph(cycle(6), cap=2)]
+        for row, _ in evaluated:
+            assert row.graph_count == 1
+            for attr, *_ in census._COLUMNS[2:]:
+                assert type(getattr(row, attr)) is int and getattr(row, attr) in (0, 1), (row, attr)
+
+    def test_filtered_graph_is_not_decided(self):
+        assert evaluate_graph(cycle(4), girth_min=5) is None
+        assert evaluate_graph(cycle(5), girth_min=5) is not None
+
+    def test_census_row_fields_are_the_report_columns(self):
+        assert [f.name for f in dataclasses.fields(CensusRow)] == [attr for attr, *_ in census._COLUMNS]
 
 
 class TestCrossValidate:

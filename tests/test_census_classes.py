@@ -76,23 +76,26 @@ def _reference_worker(item: Graph | str, cap: int, girth_min: int | None):
     return evaluate_graph(g, cap, girth_min)
 
 
-def _reference_accumulate(records) -> CensusResult:
+def _reference_accumulate(evaluated) -> CensusResult:
+    """Rows and disagreements from one decision per labeled graph, each
+    (the graph's own census row, its disagreement or None) or None."""
     table: dict[tuple[int, str], CensusRow] = {}
     disagreements: list[Disagreement] = []
-    for rec in records:
-        if rec is None:
+    for decided in evaluated:
+        if decided is None:
             continue
-        key = (rec.n, rec.girth_class)
+        one, disagreement = decided
+        key = (one.n, one.girth_class)
         row = table.get(key)
         if row is None:
-            row = table[key] = CensusRow(n=rec.n, girth_class=rec.girth_class)
+            row = table[key] = CensusRow(n=one.n, girth_class=one.girth_class)
         row.graph_count += 1
-        row.omega_members += rec.omega_member
-        row.u_members += rec.u_member
-        row.cap_exceeded += rec.cap_exceeded
-        if rec.disagreement is not None:
+        row.omega_members += one.omega_members
+        row.u_members += one.u_members
+        row.cap_exceeded += one.cap_exceeded
+        if disagreement is not None:
             row.disagreements += 1
-            disagreements.append(rec.disagreement)
+            disagreements.append(disagreement)
     order = {c: i for i, c in enumerate(census.GIRTH_CLASSES)}
     rows = sorted(table.values(), key=lambda r: (r.n, order[r.girth_class]))
     return CensusResult(rows=rows, disagreements=disagreements)

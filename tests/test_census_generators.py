@@ -24,9 +24,8 @@ import pytest
 
 from starfactor.census import (
     _connected_classes,
-    _graph_from_mask,
+    _graphs_from_masks,
     _labeled_masks,
-    _pairs,
     generate_connected,
     generate_connected_girth5,
 )
@@ -137,16 +136,25 @@ def test_girth5_list_equals_the_sorted_permutations(n):
 def reference_graph_from_mask(n: int, mask: int, girth_min: int | None) -> Graph:
     """The graph of an edge mask, read bit by bit: slot i at bit i, or
     under girth_min >= 5 at bit M - 1 - i of the M slots."""
-    bits = mask_bits(mask, len(_pairs(n)))
-    return Graph(n, tuple(itertools.compress(_pairs(n), bits[::-1] if girth_min is not None and girth_min >= 5 else bits)))
+    bits = mask_bits(mask, len(pairs(n)))
+    return Graph(n, tuple(itertools.compress(pairs(n), bits[::-1] if girth_min is not None and girth_min >= 5 else bits)))
 
 
 @pytest.mark.parametrize("girth_min", [None, 5])
 def test_graph_from_mask_equals_the_bitwise_readback(girth_min):
-    # every mask for n <= 6, and a seeded sample with both extremes for n = 7, 8
+    # every mask for n <= 6, shuffled, and a seeded sample with both
+    # extremes and some repeats for n = 7, 8, read as one list per n: the
+    # graphs must come out in the masks' order
     rng = random.Random(28)
     for n in range(9):
-        size = len(_pairs(n))
-        masks = range(1 << size) if n <= 6 else [0, (1 << size) - 1, *(rng.getrandbits(size) for _ in range(3000))]
-        for mask in masks:
-            assert _graph_from_mask(n, mask, girth_min) == reference_graph_from_mask(n, mask, girth_min), (n, mask)
+        size = len(pairs(n))
+        if n <= 6:
+            masks = list(range(1 << size))
+            rng.shuffle(masks)
+        else:
+            masks = [(1 << size) - 1, 0, *(rng.getrandbits(size) for _ in range(3000))]
+            masks += masks[:50]
+        got = list(_graphs_from_masks(n, masks, girth_min))
+        assert len(got) == len(masks)
+        for mask, g in zip(masks, got):
+            assert g == reference_graph_from_mask(n, mask, girth_min), (n, mask)

@@ -70,8 +70,11 @@ from test_mask_decision_equivalence import same_outcome
 
 
 def _basis(masks: list[int], m: int):
-    """The library's row basis of D, read off the masks."""
-    return solver._reduce_rows(mask_bits(masks[0], m), islice(masks, 1, None))
+    """The library's row basis of D, read off the masks, and the index of
+    its first nonnegative row, or None when it has none."""
+    rows, pivots, used, stop = solver._reduce_rows(mask_bits(masks[0], m), islice(masks, 1, None))
+    assert stop == next((j for j, row in enumerate(rows) if min(row) >= 0), None)
+    return rows, pivots, used, stop
 
 
 def _needs_lp(masks: list[int], rows: list[list[int]]) -> bool:
@@ -85,7 +88,7 @@ def whole_basis_decision(masks: list[int], m: int) -> FeasibilityOutcome:
     """The decision with LP1 over all m edges and LP2 over all of B."""
     if len(set(map(int.bit_count, masks))) == 1:
         return Witness(weighting=Weighting.constant(m), common_weight=Fraction(masks[0].bit_count()))
-    rows, pivots, used = _basis(masks, m)
+    rows, pivots, used, _ = _basis(masks, m)
     r = len(rows)
     for j, row in enumerate(rows):
         if all(x >= 0 for x in row):
@@ -118,7 +121,7 @@ def check(g: Graph, masks: list[int]) -> int:
     expected = whole_basis_decision(masks, g.m)
     assert type(outcome) is type(expected), g.edges
     assert verify_outcome(incidence_vectors(masks, g.m), outcome), g.edges
-    rows, pivots, _ = _basis(masks, g.m)
+    rows, pivots, _, _ = _basis(masks, g.m)
     if not _needs_lp(masks, rows):
         assert repr(outcome) == repr(expected), g.edges
         return 0
@@ -152,7 +155,7 @@ def test_girth5_graphs_on_eight_vertices():
 def test_double_star_blocks():
     g = double_star_graph()
     masks = enumerate_star_factors(g)
-    rows, pivots, _ = _basis(masks, g.m)
+    rows, pivots, _, _ = _basis(masks, g.m)
     blocks = solver._blocks(rows, pivots)
     assert [(len(block), len(columns)) for block, columns in blocks] == [(3, 5), (1, 3), (1, 3)]
     assert g.m - sum(len(columns) for _, columns in blocks) == 4
@@ -167,7 +170,7 @@ def test_one_row_basis_is_one_block():
     one_row = 0
     for g in (g for n in range(2, 8) for g, _ in classes[n]):
         masks = enumerate_star_factors(g)
-        rows, pivots, _ = _basis(masks, g.m)
+        rows, pivots, _, _ = _basis(masks, g.m)
         if len(rows) == 1 and _needs_lp(masks, rows):
             assert solver._blocks(rows, pivots) == reference_blocks(rows, pivots), g.edges
             one_row += 1
@@ -234,7 +237,7 @@ def test_one_row_blocks_of_every_connected_class_up_to_seven_vertices():
     rows_seen = 0
     for g in (g for n in range(2, 8) for g, _ in classes[n]):
         masks = enumerate_star_factors(g)
-        rows, pivots, _ = _basis(masks, g.m)
+        rows, pivots, _, _ = _basis(masks, g.m)
         if not _needs_lp(masks, rows):
             continue
         for block, columns in solver._blocks(rows, pivots):

@@ -194,7 +194,7 @@ class TestVerdictProperties:
         witness = omega_oracle(g).witness
         all_ones = witness is not None and all(w == 1 for w in witness.weighting.weights)
         assert all_ones == uniform
-        assert evaluate_graph(g).u_member == uniform
+        assert evaluate_graph(g)[0].u_members == uniform
 
 
 class TestClassifierProperties:

@@ -11,7 +11,9 @@ reaching full rank is one such stop.  So on every mask list the scan
 must return the reference's ``(rows, pivots, used)`` on the prefix of D
 that it read, and that prefix must be the shortest possible: the
 reference basis of one row fewer has no nonnegative row, and a scan that
-never meets a nonnegative row reads all of D.  The generated lists
+never meets a nonnegative row reads all of D.  The scan also returns the
+index of the basis row it stopped at, which must be the first
+nonnegative row of its basis, or None exactly when there is none.  The generated lists
 include random ones, ones whose rows are +-e_k, ones whose rows lie in
 a space of dimension at most 4, and ones whose basis has pivot entries
 above 1, so that incoming rows are rescaled by the lcm of the pivot
@@ -51,7 +53,7 @@ from test_solver_golden import _fixed_graphs, _golden
 FRACTIONAL = [0b10000, 0b00011, 0b00101, 0b01110]
 
 
-def reduce_masks(masks: list[int], m: int) -> tuple[list[list[int]], list[int], list[int]]:
+def reduce_masks(masks: list[int], m: int) -> tuple[list[list[int]], list[int], list[int], int | None]:
     return _reduce_rows(mask_bits(masks[0], m), masks[1:])
 
 
@@ -67,7 +69,12 @@ def nonnegative(rows: list[list[int]]) -> bool:
     return any(min(row) >= 0 for row in rows)
 
 
-def scan(masks: list[int], m: int) -> tuple[tuple[list[list[int]], list[int], list[int]], int]:
+def first_nonnegative(rows: list[list[int]]) -> int | None:
+    """The index of the first nonnegative row of a basis, or None."""
+    return next((j for j, row in enumerate(rows) if min(row) >= 0), None)
+
+
+def scan(masks: list[int], m: int) -> tuple[tuple[list[list[int]], list[int], list[int], int | None], int]:
     """``_reduce_rows`` on the masks, and the number of D rows it read."""
     read = 0
 
@@ -83,11 +90,11 @@ def scan(masks: list[int], m: int) -> tuple[tuple[list[list[int]], list[int], li
 def agrees(masks: list[int], m: int) -> bool:
     """The scan returns the reference basis of the rows it read, and it
     stops at the first of D's prefixes whose basis has a nonnegative row,
-    or reads all of D if none has."""
-    basis, read = scan(masks, m)
-    if basis != reference(masks[: 1 + read], m):
+    naming the first such row, or reads all of D if none has."""
+    (rows, pivots, used, stop), read = scan(masks, m)
+    if (rows, pivots, used) != reference(masks[: 1 + read], m) or stop != first_nonnegative(rows):
         return False
-    if nonnegative(basis[0]):
+    if stop is not None:
         return not nonnegative(reference(masks[:read], m)[0])
     return read == len(masks) - 1
 
@@ -147,7 +154,8 @@ def test_same_basis_as_reference_where_entries_grow(masks_and_m):
 
 def test_fractional_kind_has_pivot_entries_above_one():
     expected = ([[2, 0, 0, -1, -1], [0, 2, 0, 1, -1], [0, 0, 2, 1, -1]], [0, 1, 2], [0, 1, 2])
-    assert reduce_masks(FRACTIONAL, 5) == expected == reference(FRACTIONAL, 5)
+    assert reduce_masks(FRACTIONAL, 5) == (*expected, None)
+    assert expected == reference(FRACTIONAL, 5)
     assert agrees(FRACTIONAL, 5)
 
 
@@ -159,12 +167,14 @@ def test_rows_rescaled_by_the_pivot_lcm():
     # reduces to zero only doubled.
     masks = [0b10100, 0b10001, 0b10010, 0b00111, 0b01101, 0b11000]
     expected = ([[2, 0, 0, 0, -1], [0, 2, 0, 0, -1], [0, 0, 2, 0, -1], [0, 0, 0, 2, -1]], [0, 1, 2, 3], [0, 1, 2, 3])
-    assert reduce_masks(masks, 5) == expected == reference(masks, 5)
+    assert reduce_masks(masks, 5) == (*expected, None)
+    assert expected == reference(masks, 5)
     assert agrees(masks, 5)
     # the row 01000 completes the rank, and the identity is nonnegative
+    # from its first row
     masks.append(0b10110)
     identity = [[int(k == p) for k in range(5)] for p in range(5)]
-    assert scan(masks, 5) == ((identity, [0, 1, 2, 3, 4], [0, 1, 2, 3, 5]), 6)
+    assert scan(masks, 5) == ((identity, [0, 1, 2, 3, 4], [0, 1, 2, 3, 5], 0), 6)
     assert agrees(masks, 5)
 
 
@@ -179,9 +189,10 @@ def test_fields_widen_as_fibonacci_entries_grow():
     for k in range(29):
         columns = {k, *range(k - 1, -1, -2)} | ({29} if k == 0 else set())
         masks.append(sum(1 << c for c in columns))
-    (rows, pivots, used), read = scan(masks, m)
+    (rows, pivots, used, stop), read = scan(masks, m)
     assert read == 29
     assert (rows, pivots, used) == reference(masks, m)
+    assert stop is None
     assert [row[29:] for row in rows[-2:]] == [[-196418, 121393], [317811, -196418]]
     assert not nonnegative(rows)
 
@@ -190,8 +201,8 @@ def test_stops_at_full_rank():
     # x_1 = 01, rows 1- and 0-: the second completes the rank, and the
     # third, 10, is never read
     masks = [0b10, 0b01, 0b00, 0b11]
-    assert scan(masks, 2) == (([[1, 0], [0, 1]], [0, 1], [0, 1]), 2)
-    assert reduce_masks(masks, 2) == reference(masks, 2)
+    assert scan(masks, 2) == (([[1, 0], [0, 1]], [0, 1], [0, 1], 0), 2)
+    assert reduce_masks(masks, 2)[:3] == reference(masks, 2)
 
 
 def test_scan_never_requests_a_row_after_full_rank():
@@ -200,7 +211,7 @@ def test_scan_never_requests_a_row_after_full_rank():
         yield 0b00
         pytest.fail("a row after the full-rank row was requested")
 
-    assert _reduce_rows(mask_bits(0b10, 2), masks()) == ([[1, 0], [0, 1]], [0, 1], [0, 1])
+    assert _reduce_rows(mask_bits(0b10, 2), masks()) == ([[1, 0], [0, 1]], [0, 1], [0, 1], 0)
 
 
 def test_scan_never_requests_a_row_after_the_first_nonnegative_row():
@@ -211,7 +222,7 @@ def test_scan_never_requests_a_row_after_the_first_nonnegative_row():
         yield 0b010
         pytest.fail("a row after the first nonnegative basis row was requested")
 
-    assert _reduce_rows(mask_bits(0b100, 3), masks()) == ([[1, 0, 0], [0, 1, -1]], [0, 1], [0, 1])
+    assert _reduce_rows(mask_bits(0b100, 3), masks()) == ([[1, 0, 0], [0, 1, -1]], [0, 1], [0, 1], 0)
     assert agrees([0b100, 0b011, 0b010, 0b001], 3)
 
 
@@ -273,7 +284,7 @@ def test_scan_without_a_nonnegative_row_reads_all_of_d():
     others = [(enumerate_star_factors(g), g.m) for g in [double_star_graph(), *lp2]]
     assert len(lp2) == 54
     for masks, m in members + others:
-        basis, read = scan(masks, m)
+        (rows, pivots, used, stop), read = scan(masks, m)
         assert read == len(masks) - 1
-        assert basis == reference(masks, m)
-        assert not nonnegative(basis[0])
+        assert (rows, pivots, used) == reference(masks, m)
+        assert stop is None and not nonnegative(rows)
