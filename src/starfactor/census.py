@@ -259,10 +259,11 @@ def _connected_classes(n_max: int, girth_min: int | None) -> dict[int, list[tupl
 def _near(rows: tuple[int, ...], radius: int) -> list[int]:
     """Per vertex of the graph with neighbor bitmasks ``rows``, the
     bitmask of the other vertices within distance ``radius``: ``radius``
-    rounds of a bitmask BFS, each widening every ball by its neighbors'."""
+    rounds of a bitmask BFS, each widening every ball by its neighbors',
+    but at most ``len(rows) - 1`` of them, after which no ball grows."""
     neighbors = [[w for w in range(len(rows)) if row >> w & 1] for row in rows]
     balls = [1 << v for v in range(len(rows))]
-    for _ in range(radius):
+    for _ in range(min(radius, len(rows) - 1)):
         balls = [
             functools.reduce(operator.or_, [balls[w] for w in around], ball) for ball, around in zip(balls, neighbors)
         ]
@@ -333,10 +334,11 @@ def cross_validate(
     if workers > 1:
         # as Pool.map sizes them: about four chunks per worker
         chunksize = -(-len(items) // (4 * workers))
-        pool = multiprocessing.Pool(workers)
-        try:
+        # closed and joined inside the block, the workers exit normally and
+        # run their exit handlers; on an error the block's exit terminates
+        # them instead, so they decide no more items
+        with multiprocessing.Pool(workers) as pool:
             result = _accumulate(zip(items, pool.imap(work, items, chunksize=chunksize)), girth_min)
-        finally:
             pool.close()
             pool.join()
         return result

@@ -13,8 +13,9 @@ three or four fall back to the brute-force oracle.
 vertex ids.  It reads a degree list once and marks the leaves and the
 stems (their neighbors) in one bytearray; a component is a tree by its
 degree sum, and only a component with a cycle is searched for its girth.
-One search over the unmarked vertices finds every core component, and
-each graph component takes its own cores from that search in order.  It
+A structural component with both marked and unmarked vertices finds its
+own core components with one search over its unmarked vertices, and a
+K_{1,1} core's edge gets its witness weight as soon as it is found.  It
 builds a subgraph only for a component that goes to the oracle.  Each
 component's report holds the kind string that the JSON report prints:
 its core shapes, its tag, or "OracleFallback".
@@ -152,26 +153,14 @@ def classify(g: Graph, cap: int = DEFAULT_CAP) -> Classification:
     outer = bytearray(n)
     for v in compress(range(n), map((1).__eq__, degree)):
         outer[v] = outer[adjacency[v][0]] = 1
-    components = induced_components(adjacency)
-    # every core component in one search, which meets them component by
-    # component and within each by smallest vertex; a component's cores
-    # are the next ones, up to its count of core vertices
-    starts = [v for verts in components for v in verts if not outer[v]]
-    cores = iter(induced_components(adjacency, starts, frozenset(compress(range(n), outer))))
-    is_outer, degree_of = outer.__getitem__, degree.__getitem__
+    marked = frozenset(compress(range(n), outer))
     weights = [ONE] * g.m
     reports: list[ComponentReport] = []
     refutation: Refutation | None = None
     finite_girths: list[int] = []
-    k11_edges: list[tuple[int, int]] = []
     fallback = False
-    for verts in components:
-        core_count = len(verts) - sum(map(is_outer, verts))
-        found = []
-        while core_count:
-            found.append(next(cores))
-            core_count -= len(found[-1])
-        if sum(map(degree_of, verts)) != 2 * (len(verts) - 1):
+    for verts in induced_components(adjacency):
+        if sum(map(degree.__getitem__, verts)) != 2 * (len(verts) - 1):
             cycle = shortest_cycle(adjacency, verts)
             finite_girths.append(cycle)
             if cycle < 5:
@@ -185,10 +174,11 @@ def classify(g: Graph, cap: int = DEFAULT_CAP) -> Classification:
                 reports.append(report)
                 fallback = True
                 continue
+        unmarked = [v for v in verts if not outer[v]]
         shapes: list[str] = []
-        if not found:
+        if not unmarked:
             verdict, tag = Verdict.MEMBER, CaseTag.ALL_LEAF_OR_STEM
-        elif len(found[0]) == len(verts):
+        elif len(unmarked) == len(verts):
             # no leaf, so minimum degree >= 2: members are exactly the
             # 5-cycle and the 7-cycle
             if len(verts) in (5, 7) and all(degree[v] == 2 for v in verts):
@@ -198,21 +188,26 @@ def classify(g: Graph, cap: int = DEFAULT_CAP) -> Classification:
         else:
             core_tags = set()
             shapes_ok = True
-            for core in found:
+            for core in induced_components(adjacency, unmarked, marked):
                 size = len(core)
                 if size == 1:
                     shapes.append("IsolatedVertex")
                     core_tags.add(CaseTag.CASE_4C)
                     continue
                 # a core vertex's core neighbors are its unmarked neighbors
-                core_degrees = [degree[v] - sum(map(is_outer, adjacency[v])) for v in core]
+                core_degrees = [degree[v] - sum(map(outer.__getitem__, adjacency[v])) for v in core]
                 if sum(core_degrees) == 2 * (size - 1) and size - 1 in core_degrees:
                     # a tree with a vertex adjacent to all the others is a
                     # star, centered there when it has two leaves or more
                     shapes.append(f"Star(m={size - 1})")
                     core_tags.add(CaseTag.CASE_4B)
                     if size == 2:
-                        k11_edges.append(core)
+                        # a factor covers a K_{1,1} core edge either by that
+                        # edge or by one stem edge at each end, so it weighs
+                        # 2; weights is read only for a member.  g.edges is
+                        # sorted, so a bisection finds the edge's index
+                        # without building g.edge_index.
+                        weights[bisect_left(g.edges, core)] = TWO
                     else:
                         center = core[core_degrees.index(size - 1)]
                         shapes_ok = shapes_ok and degree[center] == size - 1
@@ -241,12 +236,6 @@ def classify(g: Graph, cap: int = DEFAULT_CAP) -> Classification:
         )
     tags = {r.tag for r in reports}
     case_tag = tags.pop() if len(tags) == 1 else CaseTag.MIXED_4 if tags else None
-    for edge in k11_edges:
-        # a factor covers a K_{1,1} core edge either by that edge or by
-        # one stem edge at each end, so it weighs 2.  g.edges is sorted,
-        # so a bisection finds the edge's index without building
-        # g.edge_index.
-        weights[bisect_left(g.edges, edge)] = TWO
     witness = Weighting(tuple(weights))
     return Classification(Verdict.MEMBER, route, case_tag, gg, witness, None, tuple(reports))
 

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import math
+import multiprocessing
 
 import pytest
 
@@ -18,9 +19,11 @@ from starfactor.census import (
     generate_connected_girth5,
     report,
 )
-from starfactor.graph import Graph, canonical_form, girth, parse_graph6, to_graph6
+from starfactor.graph import Graph, Graph6Error, canonical_form, girth, parse_graph6, to_graph6
 
-from conftest import DATA_DIR, cycle, path, petersen
+from conftest import DATA_DIR, cycle, path, petersen, time_limit
+
+FORMATS = ("json", "text", "tsv")
 
 
 def brute_connected_count(n):
@@ -169,6 +172,15 @@ class TestCrossValidate:
         result = cross_validate(graph6_lines=lines, girth_min=9)
         assert [(r.n, r.girth_class, r.graph_count) for r in result.rows] == [(9, ">=8", 1)]
 
+    def test_huge_girth_filter_finishes_with_the_acyclic_report(self):
+        # on seven vertices or fewer no cycle reaches length 8, so any
+        # girth_min >= 8 keeps exactly the trees; the distance balls stop
+        # growing after n - 1 rounds, however large girth_min is
+        expected = [report(cross_validate(ns=range(1, 8), girth_min=8), fmt=fmt) for fmt in FORMATS]
+        with time_limit(5.0):
+            result = cross_validate(ns=range(1, 8), girth_min=1_000_000_000)
+        assert [report(result, fmt=fmt) for fmt in FORMATS] == expected
+
     def test_girth_filter_decides_only_kept_graphs(self, monkeypatch):
         unfiltered = cross_validate(ns=[5])
         decided = []
@@ -205,6 +217,12 @@ class TestCrossValidate:
             def imap(self, func, iterable, chunksize=1):
                 return map(func, iterable)
 
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                pass
+
             def close(self):
                 pass
 
@@ -231,6 +249,12 @@ class TestCrossValidate:
                 pools[-1].append(chunksize)
                 return map(func, iterable)
 
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                pass
+
             def close(self):
                 pass
 
@@ -252,6 +276,27 @@ class TestCrossValidate:
         assert sum(r.graph_count for r in cross_validate(ns=[3], graph6_lines=lines, workers=0).rows) == 7
         assert sum(r.graph_count for r in cross_validate(ns=[5, 6], workers=100).rows) == 728 + 26704
         assert pools == [[5, 1], [8, 5]]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="counts calls in forked workers")
+    def test_failed_parallel_census_decides_no_more_items(self, monkeypatch):
+        # forked workers inherit the counting evaluate_graph and its shared
+        # counter; the first line fails its chunk, and the pool's workers
+        # must stop there instead of deciding every other chunk
+        calls = multiprocessing.Value("i", 0)
+
+        def counting_evaluate(*args):
+            with calls.get_lock():
+                calls.value += 1
+            return evaluate_graph(*args)
+
+        monkeypatch.setattr("starfactor.census.evaluate_graph", counting_evaluate)
+        lines = ["?bad", *[to_graph6(g) for g in (cycle(7), path(7))] * 8000]
+        chunksize = -(-len(lines) // 8)  # two workers, four chunks each
+        with pytest.raises(Graph6Error):
+            cross_validate(graph6_lines=lines, workers=2)
+        # a pool left to finish its queue decides every other chunk; the
+        # count is read past its lock, which a terminated worker may hold
+        assert calls.get_obj().value < len(lines) - chunksize
 
     def test_uniform_subset_of_members_on_every_row(self):
         result = cross_validate(ns=[4, 5])

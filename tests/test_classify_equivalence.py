@@ -4,15 +4,17 @@
 leaves and stems as two frozensets (``conftest.leaves_and_stems``), and
 for each component its own structural report with its own core search,
 its own test of each core's shape and its own K_{1,1} core edges for the
-witness.  ``classify`` reads the leaves and stems off one degree list and
-finds every core component in one search.  The two must give equal
+witness.  ``classify`` reads the leaves and stems off one degree list,
+and each component finds its own cores with one search over its unmarked
+vertices.  The two must give equal
 ``Classification`` objects, down to ``per_component`` and each report's
 kind string with its shapes in core order, and the same
 ``classification_to_json`` bytes, on every
 connected class with n <= 7, the girth >= 5 graphs on 8 vertices,
 seeded random unions (relabeled, so that components interleave and some
 have girth < 5), trees and cycles with pendant leaves and paths hung on
-them, and unions shaped like the large structural benchmark.
+them, and unions shaped like the large structural benchmark, one of them
+relabeled with a core in every component.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from starfactor.graph import (
 )
 from starfactor.solver import Verdict, Weighting
 
-from conftest import DATA_DIR, cycle, leaves_and_stems, relabel
+from conftest import DATA_DIR, cycle, leaves_and_stems, path, relabel
 
 ONE, TWO = Fraction(1), Fraction(2)
 
@@ -275,3 +277,12 @@ def test_unions_shaped_like_the_large_structural_benchmark():
         check(shuffled(g, rng))
     assert check(comb).case_tag is CaseTag.ALL_LEAF_OR_STEM
     assert check(matching).witness.weights == (ONE,) * 1050
+    # every component has a core, and the components interleave: P5 (an
+    # isolated-vertex core), P6 (a K_{1,1} core), a spider with three legs
+    # of length 3 (a K_{1,3} core) and a 5-cycle with a tail of length 2
+    spider = Graph.from_edges(10, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6), (0, 7), (7, 8), (8, 9)])
+    tailed_c5 = Graph.from_edges(7, [*cycle(5).edges, (0, 5), (5, 6)])
+    cored = check(shuffled(union([path(5), path(6), spider, tailed_c5] * 50), rng))
+    kinds = {r.kind for r in cored.per_component}
+    assert kinds == {"IsolatedVertex", "Star(m=1)", "Star(m=3)", "FiveCycle"}
+    assert cored.verdict is Verdict.MEMBER and cored.witness.weights.count(TWO) == 50
