@@ -136,7 +136,7 @@ def main() -> None:
     write_g6(DATA_DIR / "girth5_connected_n8.g6", reps8)
     write_g6(
         DATA_DIR / "delta2_girth5_n8.g6",
-        [g for g in reps8 if min(g.degree(v) for v in range(g.n)) >= 2],
+        [g for g in reps8 if min(map(len, g.adjacency)) >= 2],
     )
 
     t0 = time.time()

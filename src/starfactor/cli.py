@@ -1,12 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 member/success, 2 not a member, 3 vacuous (no star-factors),
-4 factor cap exceeded, 1 usage or parse error or stdout closed early.
+4 factor cap exceeded, 1 usage or parse error or a closed stdin or stdout.
+argparse's help, version and usage errors reach ``run``'s streams through
+``contextlib``'s redirects.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -73,10 +76,12 @@ def _read_file(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_stdin(stdin: TextIO) -> str:
+def _read_stdin(stdin: TextIO | None) -> str:
     """All of stdin, held to ASCII as a file is.  Strict UTF-8 fails in
     ``read``; surrogateescape (the POSIX locale) keeps a bad byte as a
     lone surrogate, which encodes back to that byte."""
+    if stdin is None:
+        raise CliError("cannot read stdin: it is closed")
     try:
         text = stdin.read()
         if not text.isascii():
@@ -86,7 +91,7 @@ def _read_stdin(stdin: TextIO) -> str:
     return text
 
 
-def _load_graph(path: str, fmt: str | None, stdin: TextIO) -> Graph:
+def _load_graph(path: str, fmt: str | None, stdin: TextIO | None) -> Graph:
     text = _read_stdin(stdin) if path == "-" else _read_file(path)
     if fmt is None:
         fmt = "graph6" if path.endswith((".g6", ".graph6")) else "edgelist"
@@ -108,33 +113,13 @@ def _parse_range(spec: str) -> list[int]:
     return list(range(first, last + 1))
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser that prints its help, version, usage and error
-    messages to the given streams instead of ``sys.stdout``/``sys.stderr``;
-    its exits still raise SystemExit."""
-
-    def __init__(self, *args, out: TextIO, err: TextIO, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.out, self.err = out, err
-
-    def _print_message(self, message: str, file: TextIO | None = None) -> None:
-        # argparse names sys.stdout for help and version text and
-        # sys.stderr (or nothing) for usage errors
-        if message:
-            (self.out if file is sys.stdout else self.err).write(message)
-
-
-def build_parser(out: TextIO | None = None, err: TextIO | None = None) -> argparse.ArgumentParser:
-    streams = {"out": out or sys.stdout, "err": err or sys.stderr}
-    parser = _Parser(
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="starfactor",
         description="Decide whether a graph admits a uniform star-factor weighting.",
-        **streams,
     )
     parser.add_argument("--version", action="version", version=f"starfactor {__version__}")
-    sub = parser.add_subparsers(
-        dest="command", required=True, parser_class=functools.partial(_Parser, **streams)
-    )
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def add_graph_command(name: str, help_text: str, handler: Callable[..., int]) -> None:
         p = sub.add_parser(name, help=help_text)
@@ -178,9 +163,10 @@ def run(
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     inp = stdin if stdin is not None else sys.stdin
-    parser = build_parser(out, err)
     try:
-        args = parser.parse_args(list(argv))
+        # argparse looks sys.stdout and sys.stderr up when it writes
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = build_parser().parse_args(list(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
@@ -314,6 +300,10 @@ def _run_census(args: argparse.Namespace, cap: int, inp: TextIO, out: TextIO) ->
 
 
 def main() -> None:
+    if sys.stdout is None:
+        # stdout closed at startup (`>&-`): no answer can be written
+        print("error: cannot write stdout: it is closed", file=sys.stderr)
+        sys.exit(EXIT_USAGE)
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()

@@ -118,9 +118,6 @@ class Graph:
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {e: i for i, e in enumerate(self.edges)}
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def has_isolated_vertex(self) -> bool:
         # fewer than n/2 edges cannot touch every vertex: decided without
         # building the adjacency, however large n is

@@ -108,10 +108,6 @@ class Weighting:
         scale = math.lcm(*{d for _, d in ratios})
         return tuple([p * (scale // d) for p, d in ratios])
 
-    @classmethod
-    def constant(cls, m: int) -> "Weighting":
-        return cls((ONE,) * m)
-
 
 @dataclass(frozen=True)
 class Witness:
@@ -367,7 +363,7 @@ def decide_uniform_weighting(masks: Sequence[int], m: int) -> FeasibilityOutcome
     # Every factor has the same edge count iff D 1 = 0, and then t <= w_e <= 1
     # makes t = 1, w = 1 LP1's unique optimum: its witness is all ones.
     if len(set(map(int.bit_count, masks))) == 1:
-        return Witness(weighting=Weighting.constant(m), common_weight=Fraction(masks[0].bit_count()))
+        return Witness(weighting=Weighting((ONE,) * m), common_weight=Fraction(masks[0].bit_count()))
     # D's rows x_i - x_1 (i >= 2) are formed only as the row basis reads them.
     first = mask_bits(masks[0], m)
     rows, pivots, used, stop = _reduce_rows(first, islice(masks, 1, None))
@@ -423,9 +419,6 @@ def _blocks(rows: list[list[int]], pivots: list[int]) -> list[tuple[list[int], l
     blocks come in the order of their lowest pivot column.
     """
     r = len(rows)
-    if r == 1:
-        # one row is one block, over its nonzero columns
-        return [([0], list(compress(range(len(rows[0])), rows[0])))]
     adjacency: dict[int, list[int]] = {}
     for j, row in enumerate(rows):
         adjacency[j] = [r + e for e in compress(range(len(row)), row)]

@@ -378,7 +378,7 @@ class TestFixtureFiles:
         assert len(lines) == 5
         for line in lines:
             g = parse_graph6(line)
-            assert min(g.degree(v) for v in range(g.n)) >= 2 and girth(g).at_least(5)
+            assert min(map(len, g.adjacency)) >= 2 and girth(g).at_least(5)
 
     def test_petersen_fixture(self):
         lines = (DATA_DIR / "petersen.g6").read_text().splitlines()

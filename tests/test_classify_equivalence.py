@@ -60,9 +60,9 @@ def _core_shape(g, verts, outer):
         center = next((v for v in verts if degs[v] == len(verts) - 1), None)
         if center is not None:
             m = len(verts) - 1
-            return f"Star(m={m})", m == 1 or g.degree(center) == m, CaseTag.CASE_4B
+            return f"Star(m={m})", m == 1 or len(g.adjacency[center]) == m, CaseTag.CASE_4B
     if len(verts) == 5 and all(degs[v] == 2 for v in verts):
-        high = [v for v in verts if g.degree(v) >= 3]
+        high = [v for v in verts if len(g.adjacency[v]) >= 3]
         ok = len(high) < 2 or (len(high) == 2 and high[1] not in g.adjacency[high[0]])
         return "FiveCycle", ok, CaseTag.CASE_4A
     return "Other(neither a star, a 5-cycle, nor a vertex)", False, None
@@ -74,7 +74,7 @@ def _structural_report(g, verts, leaves, outer, k11_edges):
         return ComponentReport(verts, verdict, tag, kind or tag.value)
 
     if leaves.isdisjoint(verts):
-        if len(verts) in (5, 7) and all(g.degree(v) == 2 for v in verts):
+        if len(verts) in (5, 7) and all(len(g.adjacency[v]) == 2 for v in verts):
             return report(Verdict.MEMBER, CaseTag.C5 if len(verts) == 5 else CaseTag.C7)
         return report(Verdict.NOT_MEMBER, CaseTag.NEG_DELTA2_GIRTH)
     if outer.issuperset(verts):

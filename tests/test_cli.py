@@ -419,6 +419,35 @@ class TestArgparseStreams:
         assert (code, out, err) == (0, "starfactor 0.1.0\n", "")
         assert capsys.readouterr() == ("", "")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], ["--version"], ["oracle", "-", "--cap", "x"]],
+        ids=["help", "version", "usage-error"],
+    )
+    def test_sys_streams_restored(self, argv):
+        stdout, stderr = sys.stdout, sys.stderr
+        invoke(argv)
+        assert sys.stdout is stdout and sys.stderr is stderr
+
+
+def cli_env():
+    """The environment for running ``python -m starfactor.cli`` as a
+    child process, with this checkout's package first on its path."""
+    env = dict(os.environ)
+    src = str(Path(starfactor.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_with_closed(redirect, argv):
+    """Run the CLI under ``sh`` with one descriptor closed by ``redirect``
+    (``<&-`` or ``>&-``), so that Python starts with that stream None."""
+    return subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "starfactor.cli", *argv],
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=cli_env(), timeout=60,
+    )
+
 
 class TestClosedStdout:
     def test_closed_stdout_exits_1_without_traceback(self):
@@ -427,17 +456,33 @@ class TestClosedStdout:
         # has exited
         read_end, write_end = os.pipe()
         os.close(read_end)
-        env = dict(os.environ)
-        src = str(Path(starfactor.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "starfactor.cli", "factors",
                  str(DATA_DIR / "petersen.g6"), "--output", "json"],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+                stdout=write_end, stderr=subprocess.PIPE, env=cli_env(), timeout=60,
             )
         finally:
             os.close(write_end)
         assert proc.returncode == EXIT_USAGE
         assert b"Traceback" not in proc.stderr
         assert b"Exception ignored" not in proc.stderr
+
+
+class TestClosedAtStartup:
+    CLOSED_STDOUT = b"error: cannot write stdout: it is closed\n"
+
+    @pytest.mark.parametrize(
+        "redirect, argv, message",
+        [
+            ("<&-", ["oracle", "-"], b"error: cannot read stdin: it is closed\n"),
+            (">&-", ["oracle", str(DATA_DIR / "petersen.g6")], CLOSED_STDOUT),
+            (">&-", ["census", "-n", "1..3"], CLOSED_STDOUT),
+            (">&-", ["--help"], CLOSED_STDOUT),
+        ],
+        ids=["stdin-oracle", "stdout-oracle", "stdout-census", "stdout-help"],
+    )
+    def test_one_error_line_and_exit_1(self, redirect, argv, message):
+        proc = run_with_closed(redirect, argv)
+        assert proc.returncode == EXIT_USAGE and proc.stdout == b""
+        assert proc.stderr == message

@@ -66,8 +66,8 @@ class TestConstruction:
     def test_adjacency_and_degree(self):
         g = star(3)
         assert g.adjacency[0] == (1, 2, 3)
-        assert g.degree(0) == 3
-        assert all(g.degree(v) == 1 for v in range(1, 4))
+        assert len(g.adjacency[0]) == 3
+        assert all(len(g.adjacency[v]) == 1 for v in range(1, 4))
 
     def test_edge_index_matches_position(self):
         g = cycle(4)

@@ -87,7 +87,7 @@ def _needs_lp(masks: list[int], rows: list[list[int]]) -> bool:
 def whole_basis_decision(masks: list[int], m: int) -> FeasibilityOutcome:
     """The decision with LP1 over all m edges and LP2 over all of B."""
     if len(set(map(int.bit_count, masks))) == 1:
-        return Witness(weighting=Weighting.constant(m), common_weight=Fraction(masks[0].bit_count()))
+        return Witness(weighting=Weighting((ONE,) * m), common_weight=Fraction(masks[0].bit_count()))
     rows, pivots, used, _ = _basis(masks, m)
     r = len(rows)
     for j, row in enumerate(rows):

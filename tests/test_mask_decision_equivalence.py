@@ -152,7 +152,7 @@ def reference_decide_uniform_weighting(vectors: Sequence[IncidenceVector]) -> Fe
     # makes t = 1, w = 1 LP1's unique optimum: its witness is all ones.
     edge_count = sum(vectors[0])
     if all(sum(v) == edge_count for v in vectors):
-        return Witness(weighting=Weighting.constant(m), common_weight=Fraction(edge_count))
+        return Witness(weighting=Weighting((ONE,) * m), common_weight=Fraction(edge_count))
     # D's rows x_i - x_1 (i >= 2)
     first = vectors[0]
     rows, pivots, used = reference_reduce_rows([[a - b for a, b in zip(v, first)] for v in vectors[1:]])

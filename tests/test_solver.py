@@ -76,9 +76,6 @@ class TestWeighting:
         w = Weighting((Fraction(1, 2), Fraction(1, 3), Fraction(1)))
         assert w.integral == (3, 2, 6)
 
-    def test_constant(self):
-        assert Weighting.constant(3).weights == (Fraction(1),) * 3
-
 
 class TestDecision:
     def test_c5_member_constant(self):
@@ -131,12 +128,12 @@ class TestDecision:
 class TestVerifier:
     def test_rejects_wrong_common_weight(self):
         vecs = vectors_of(cycle(5))
-        bad = Witness(weighting=Weighting.constant(5), common_weight=Fraction(4))
+        bad = Witness(weighting=Weighting((Fraction(1),) * 5), common_weight=Fraction(4))
         assert not verify_outcome(vecs, bad)
 
     def test_rejects_wrong_length_witness(self):
         vecs = vectors_of(cycle(5))
-        bad = Witness(weighting=Weighting.constant(4), common_weight=Fraction(3))
+        bad = Witness(weighting=Weighting((Fraction(1),) * 4), common_weight=Fraction(3))
         assert not verify_outcome(vecs, bad)
 
     def test_rejects_tampered_refutation(self):
