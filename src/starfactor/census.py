@@ -25,10 +25,11 @@ order is the list's order: the connected graphs with edge slot i (the
 i-th pair (u, v), u < v, in lexicographic order) at bit i, the girth >= 5
 graphs with slot i at bit M - 1 - i of M slots, so that slot 0 varies
 slowest.  Every mask (at most 28 slots) is read in two halves of its
-bits, through tables built on first use for each (n, layout): a half's
-value gives its pairs as a sorted edge tuple, so ``_graphs_from_masks``
-joins two lookups per graph, and its image under each generator, so an
-orbit step is two lookups ORed.
+bits, through tables built once per call and dropped after it, in the
+layout that ``_half_tables`` chooses from ``girth_min``: a half's value
+gives its pairs as a sorted edge tuple, so ``_graphs_from_masks`` joins
+two lookups per graph, and its image under each generator, so an orbit
+step is two lookups ORed.
 """
 
 from __future__ import annotations
@@ -92,19 +93,15 @@ class CensusResult:
 _Evaluated = tuple[CensusRow, Disagreement | None] | None
 
 
-def _reversed_layout(girth_min: int | None) -> bool:
-    """Whether the edge masks for ``girth_min`` put slot i (the i-th pair
-    (u, v), u < v) at bit M - 1 - i of the M slots rather than at bit i:
-    increasing masks are then the girth >= 5 lists' order, in which slot
-    0 varies slowest."""
-    return girth_min is not None and girth_min >= 5
-
-
 class _HalfTables(NamedTuple):
     """Lookup tables for the edge masks on n vertices in one layout, read
     in two halves: the low ``half`` bits (``mask & cut``) and the rest
     (``mask >> half``)."""
 
+    n: int
+    # slot i (the i-th pair (u, v), u < v) at bit M - 1 - i of the M
+    # slots rather than at bit i
+    reversed_layout: bool
     half: int
     cut: int
     # slot[pair] is the pair's bit
@@ -116,8 +113,11 @@ class _HalfTables(NamedTuple):
     images: tuple[tuple[list[int], list[int]], ...]
 
 
-@functools.cache
-def _half_tables(n: int, reversed_layout: bool) -> _HalfTables:
+def _half_tables(n: int, girth_min: int | None) -> _HalfTables:
+    """The tables for the edge masks on n vertices in the layout for
+    ``girth_min``: reversed for girth_min >= 5, so that increasing masks
+    are the girth >= 5 lists' order, in which slot 0 varies slowest."""
+    reversed_layout = girth_min is not None and girth_min >= 5
     # the pairs in bit order, so that the image of bit b is moved[b]
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     by_bit = pairs[::-1] if reversed_layout else pairs
@@ -141,14 +141,12 @@ def _half_tables(n: int, reversed_layout: bool) -> _HalfTables:
                 table += [t | image for t in table]
             tables.append(table)
         images.append(tuple(tables))
-    return _HalfTables(half, (1 << half) - 1, slot, *edges, tuple(images))
+    return _HalfTables(n, reversed_layout, half, (1 << half) - 1, slot, *edges, tuple(images))
 
 
-def _graphs_from_masks(n: int, masks: Iterable[int], girth_min: int | None) -> Iterator[Graph]:
-    """The graph of each edge mask, in the ``_reversed_layout`` for
-    ``girth_min`` or not, in order; the tables are read once per call."""
-    reversed_layout = _reversed_layout(girth_min)
-    half, cut, _, low, high, _ = _half_tables(n, reversed_layout)
+def _graphs_from_masks(tables: _HalfTables, masks: Iterable[int]) -> Iterator[Graph]:
+    """The graph of each edge mask in the layout of ``tables``, in order."""
+    n, reversed_layout, half, cut, _, low, high, _ = tables
     if reversed_layout:
         return (Graph(n, high[mask >> half] + low[mask & cut]) for mask in masks)
     return (Graph(n, low[mask & cut] + high[mask >> half]) for mask in masks)
@@ -172,9 +170,10 @@ def generate_connected_girth5(n: int) -> Iterator[Graph]:
 def _labeled_graphs(n: int, girth_min: int | None) -> Iterator[Graph]:
     """Every labeled copy of the classes ``_connected_classes`` keeps on
     n vertices, in the labeled enumeration's order."""
-    masks = _labeled_masks([g for g, _ in _connected_classes(n, girth_min)[n]], n, girth_min)
+    tables = _half_tables(n, girth_min)
+    masks = _labeled_masks(tables, [g for g, _ in _connected_classes(n, girth_min)[n]])
     masks.sort()
-    return _graphs_from_masks(n, masks, girth_min)
+    return _graphs_from_masks(tables, masks)
 
 
 def _girth_class(gg: Girth) -> str:
@@ -270,18 +269,18 @@ def _near(rows: tuple[int, ...], radius: int) -> list[int]:
     return [ball ^ 1 << v for v, ball in enumerate(balls)]
 
 
-def _labeled_masks(graphs: Iterable[Graph], n: int, girth_min: int | None) -> list[int]:
-    """Edge masks, in the ``_reversed_layout`` for ``girth_min`` or not,
-    of every labeled copy of each graph on n <= 8 vertices.
+def _labeled_masks(tables: _HalfTables, graphs: Iterable[Graph]) -> list[int]:
+    """Edge masks, in the layout of ``tables``, of every labeled copy of
+    each graph on the tables' n <= 8 vertices.
 
     A graph's copies are the orbit of its mask under S_n, which the
     transposition (0 1) and the n-cycle v -> v + 1 mod n generate.  Each
-    generator permutes the mask's bits through two ``_half_tables``
-    lookups, one per half of the at most 28 slots, ORed, and a
-    breadth-first search meets each copy once.  With n <= 1 there is no
-    slot to move, and the orbit is the mask itself.
+    generator permutes the mask's bits through two table lookups, one
+    per half of the at most 28 slots, ORed, and a breadth-first search
+    meets each copy once.  With n <= 1 there is no slot to move, and the
+    orbit is the mask itself.
     """
-    half, cut, slot, _, _, ((a_low, a_high), (b_low, b_high)) = _half_tables(n, _reversed_layout(girth_min))
+    _, _, half, cut, slot, _, _, ((a_low, a_high), (b_low, b_high)) = tables
     masks = []
     for g in graphs:
         start = sum([slot[e] for e in g.edges])
@@ -352,7 +351,7 @@ def _accumulate(
     row's counts (every column after n and girth_class) once per labeled
     copy, and a disagreeing class lists every copy, ordered as the
     labeled enumeration would meet them (by n's place in ``ns``, then by
-    mask in the ``_reversed_layout`` or not), before the graph6 lines."""
+    mask in the layout ``_half_tables`` chooses), before the graph6 lines."""
     counts = [attr for attr, *_ in _COLUMNS[2:]]
     table: dict[tuple[int, str], CensusRow] = {}
     labeled: list[tuple[int, int, Disagreement]] = []
@@ -371,8 +370,9 @@ def _accumulate(
             external.append(d)
             continue
         place, g, _ = item
-        masks = _labeled_masks([g], g.n, girth_min)
-        for mask, copy in zip(masks, _graphs_from_masks(g.n, masks, girth_min)):
+        tables = _half_tables(g.n, girth_min)
+        masks = _labeled_masks(tables, [g])
+        for mask, copy in zip(masks, _graphs_from_masks(tables, masks)):
             labeled.append((place, mask, replace(d, graph6=to_graph6(copy))))
     order = {c: i for i, c in enumerate(GIRTH_CLASSES)}
     rows = sorted(table.values(), key=lambda r: (r.n, order[r.girth_class]))

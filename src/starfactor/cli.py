@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import sys
+from itertools import compress
 from typing import Callable, Sequence, TextIO
 
 from . import __version__
@@ -26,6 +27,7 @@ from .factors import (
     edge_count_spectrum,
     enumerate_star_factors,
     factor_stars,
+    mask_bits,
 )
 from .graph import Graph, GraphError, girth, parse_edge_list, parse_graph6
 from .solver import Verdict, Weighting, certificate_json, omega_oracle, witness_json
@@ -213,16 +215,13 @@ def _run_factors(g: Graph, cap: int, output: str, out: TextIO) -> int:
     except CapExceeded:
         return _cap_exceeded(cap, output, out)
 
-    def edges(mask: int) -> list[tuple[int, int]]:
-        return [e for i, e in enumerate(g.edges) if mask >> i & 1]
-
     if output == "json":
         payload = {
             "count": len(factors),
             "spectrum": sorted(edge_count_spectrum(factors).items()),
             "factors": [
                 {
-                    "edges": [list(e) for e in edges(f)],
+                    "edges": [list(e) for e in compress(g.edges, mask_bits(f, g.m))],
                     "stars": [{"center": c, "leaves": list(ls)} for c, ls in factor_stars(g, f)],
                 }
                 for f in factors
@@ -233,7 +232,7 @@ def _run_factors(g: Graph, cap: int, output: str, out: TextIO) -> int:
         plural = "" if len(factors) == 1 else "s"
         print(f"{len(factors)} star-factor{plural}", file=out)
         for f in factors:
-            print("  " + " ".join(f"{u}-{v}" for u, v in edges(f)), file=out)
+            print("  " + " ".join(f"{u}-{v}" for u, v in compress(g.edges, mask_bits(f, g.m))), file=out)
     return EXIT_MEMBER
 
 

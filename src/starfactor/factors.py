@@ -19,14 +19,15 @@ A factor is its edge set, an int mask (bit i for edge i) accumulated as
 stars are placed; the oracle reads nothing else.  No star-factor's edge
 set contains another's, which lets one int sort put the factors in
 lexicographic order.  The solver decides from the masks themselves;
-``mask_bits`` reads a mask's bits, for the solver's rows of D and for
-``incidence_vectors``, the 0/1 tuples that ``verify_outcome`` checks.
+``mask_bits`` reads a mask's bits: a factor's edges, the solver's rows
+of D and ``incidence_vectors``, the 0/1 tuples ``verify_outcome`` checks.
 The edge set fixes the stars, and ``factor_stars`` reads them off it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import compress
 from typing import Iterator
 
 from .graph import Graph
@@ -282,10 +283,9 @@ def factor_stars(g: Graph, mask: int) -> tuple[tuple[int, tuple[int, ...]], ...]
     """
     # the edges are sorted, so every neighbor list comes out sorted
     around: list[list[int]] = [[] for _ in range(g.n)]
-    for i, (u, v) in enumerate(g.edges):
-        if mask >> i & 1:
-            around[u].append(v)
-            around[v].append(u)
+    for u, v in compress(g.edges, mask_bits(mask, g.m)):
+        around[u].append(v)
+        around[v].append(u)
     # a dict keeps its stars in the order of their lowest vertices
     stars: dict[int, tuple[int, ...]] = {}
     for v, ns in enumerate(around):

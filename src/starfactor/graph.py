@@ -58,7 +58,8 @@ class Girth:
 
 def _diagnose_edge(u, v, previous: tuple, n: int) -> None:
     """Raise the error that the edge (u, v), after the edge ``previous``,
-    makes in a graph on n vertices; return if it makes none."""
+    makes in a graph on n vertices; ``Graph`` calls it only on an edge that
+    its comparison chain rejects, which always makes one, so it raises."""
     if u == v:
         raise LoopError(f"loop at vertex {u}")
     if not (0 <= u < n and 0 <= v < n):
@@ -94,7 +95,6 @@ class Graph:
             except TypeError:
                 pass
             _diagnose_edge(u, v, (pu, pv), n)
-            pu, pv = u, v
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":

@@ -19,18 +19,22 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 
 from starfactor.census import (
     _connected_classes,
     _graphs_from_masks,
+    _half_tables,
     _labeled_masks,
     generate_connected,
     generate_connected_girth5,
 )
 from starfactor.factors import mask_bits
 from starfactor.graph import Graph, canonical_rows, girth, graph_from_rows
+from test_cli import cli_env
 
 
 def reference_connected_classes(n_max: int, girth_min: int | None) -> dict[int, list[tuple[Graph, int]]]:
@@ -111,7 +115,7 @@ def test_orbits_are_the_labeled_copies(every_class):
     for g in cases:
         want = reference_labeled_masks(g)
         for girth_min in (None, 5):
-            got = _labeled_masks([g], g.n, girth_min)
+            got = _labeled_masks(_half_tables(g.n, girth_min), [g])
             assert len(got) == len(set(got))
             assert set(got) == {reference_enumeration_key(g.n, mask, girth_min) for mask in want}
 
@@ -120,7 +124,7 @@ def test_orbit_sizes_are_the_copy_counts(every_class):
     # the copy count is n!/|Aut G|, with |Aut G| from canonical_rows
     for n in range(8):
         for g, copies in every_class[n]:
-            assert len(_labeled_masks([g], n, None)) == copies
+            assert len(_labeled_masks(_half_tables(n, None), [g])) == copies
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -154,7 +158,28 @@ def test_graph_from_mask_equals_the_bitwise_readback(girth_min):
         else:
             masks = [(1 << size) - 1, 0, *(rng.getrandbits(size) for _ in range(3000))]
             masks += masks[:50]
-        got = list(_graphs_from_masks(n, masks, girth_min))
+        got = list(_graphs_from_masks(_half_tables(n, girth_min), masks))
         assert len(got) == len(masks)
         for mask, g in zip(masks, got):
             assert g == reference_graph_from_mask(n, mask, girth_min), (n, mask)
+
+
+# lists the girth >= 5 graphs on 7 vertices in a fresh interpreter and
+# prints the KiB that tracemalloc still traces after the list is dropped
+RETAINED_KIB = """
+import gc, tracemalloc
+from starfactor.census import generate_connected_girth5
+tracemalloc.start()
+list(generate_connected_girth5(7))
+gc.collect()
+print(tracemalloc.get_traced_memory()[0] // 1024)
+"""
+
+
+def test_labeled_list_keeps_no_tables():
+    # the mask tables live for one call; the n = 7 tables take about
+    # 500 KiB, so any that outlive it break the bound
+    done = subprocess.run(
+        [sys.executable, "-c", RETAINED_KIB], capture_output=True, text=True, env=cli_env(), timeout=120, check=True
+    )
+    assert int(done.stdout) < 64

@@ -213,6 +213,16 @@ class TestGraph6:
         with pytest.raises(Graph6Error):
             parse_graph6("A\x1f")
 
+    def test_byte_outside_range_named(self):
+        # "A\x1f" above strips to "A", since \x1f is whitespace, and fails as
+        # truncated; DEL (127) is kept and reaches the range check
+        with pytest.raises(Graph6Error, match="byte 127 outside graph6 range 63..126"):
+            parse_graph6("A\x7f")
+
+    def test_non_ascii_rejected(self):
+        with pytest.raises(Graph6Error, match="non-ASCII character"):
+            parse_graph6("A\u00e9")
+
     def test_large_n_unsupported(self):
         with pytest.raises(Graph6Error):
             parse_graph6("~??")

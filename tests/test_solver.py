@@ -66,6 +66,10 @@ class TestSimplex:
         )
         assert value == 2
 
+    def test_ragged_row_raises(self):
+        with pytest.raises(ValueError, match="row length mismatch"):
+            simplex.solve(c=[1, 0], rows=[[1, 1], [1]], rhs=[2, 1])
+
 
 class TestWeighting:
     def test_positive_required(self):
@@ -156,6 +160,11 @@ class TestVerifier:
 
     def test_rejects_empty_vectors(self):
         assert not verify_outcome([], Witness(Weighting(()), Fraction(0)))
+
+    def test_rejects_an_outcome_of_neither_kind(self):
+        vecs, outcome = decided(cycle(5))
+        assert verify_outcome(vecs, outcome)
+        assert not verify_outcome(vecs, outcome.weighting)
 
     @pytest.mark.parametrize("vectors", [[(1, 0), (1,)], [(1, 0), (1, 0, 1)]])
     def test_rejects_ragged_vectors_witness(self, vectors):
